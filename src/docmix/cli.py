@@ -485,7 +485,7 @@ def main(argv=None) -> int:
     except (NumericalError, DegenerateFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DocmixError, OSError, ValueError) as exc:
+    except (DocmixError, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

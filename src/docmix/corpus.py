@@ -1,10 +1,12 @@
 """Bag-of-words corpora of variable-length categorical observations.
 
-A corpus holds L documents over a shared vocabulary of B words. Each
-document is a sparse map from word index to a positive count; its length
-n_l is the sum of those counts and the corpus total is n = sum_l n_l.
-Documents may have very different lengths, which is the point: every
-operation downstream weights documents by n_l where it matters.
+A corpus holds L documents over a shared vocabulary of B words as one
+L x B count matrix in CSR form: row l lists the words of document l and
+their positive counts. Its length n_l is the row sum and the corpus total
+is n = sum_l n_l. Documents may have very different lengths, which is the
+point: every operation downstream weights documents by n_l where it
+matters. The matrix is validated once, when the corpus is built, and every
+computation reads it directly.
 
 On disk the exchange format is the UCI bag-of-words pair: a ``docword``
 file with three integer header lines (D, W, NNZ) followed by NNZ
@@ -19,7 +21,8 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -53,6 +56,8 @@ class Vocabulary:
     words: tuple[str, ...]
 
     def __post_init__(self):
+        if not all(isinstance(word, str) for word in self.words):
+            raise TypeError("vocabulary tokens must be strings")
         if len(set(self.words)) != len(self.words):
             raise ValueError("vocabulary tokens must be unique")
 
@@ -67,23 +72,66 @@ class Vocabulary:
         return self.words[index]
 
 
-@dataclass
+@dataclass(eq=False)
 class Corpus:
     """Immutable-by-convention collection of sparse count vectors.
 
-    ``docs[l]`` maps word index (0-based, < vocab.size) to a count >= 1.
-    ``dropped_doc_ids`` records documents removed by pruning so that
-    reports can state coverage; they also keep the pruning denominator
-    stable, which makes pruning idempotent.
+    ``counts`` is the L x B document-by-word matrix in canonical CSR form:
+    float64 whole-number counts >= 1, int32 column indices sorted and
+    unique within each row, and no empty row. Construction validates it
+    (sorting rows that arrive unsorted) and derives ``doc_lengths`` and
+    ``total_tokens`` from it. ``dropped_doc_ids`` records documents removed
+    by pruning so that reports can state coverage; they also keep the
+    pruning denominator stable, which makes pruning idempotent.
     """
 
     vocab: Vocabulary
-    docs: list[dict[int, int]]
+    counts: sparse.csr_matrix
     doc_ids: list[int]
-    doc_lengths: list[int]
-    total_tokens: int
     doc_years: dict[int, int] | None = None
     dropped_doc_ids: list[int] = field(default_factory=list)
+    doc_lengths: list[int] = field(init=False, repr=False)
+    total_tokens: int = field(init=False)
+
+    def __post_init__(self):
+        counts = sparse.csr_matrix(self.counts, dtype=np.float64)
+        num_docs, num_words = len(self.doc_ids), self.vocab.size
+        if counts.shape != (num_docs, num_words):
+            raise ValueError(
+                f"count matrix is {counts.shape[0]} x {counts.shape[1]} but the corpus "
+                f"has {num_docs} doc_ids and {num_words} words"
+            )
+        if len(set(self.doc_ids)) != num_docs:
+            raise ValueError("doc_ids must be unique")
+        indptr = counts.indptr
+
+        def doc_at(position) -> int:
+            return self.doc_ids[np.searchsorted(indptr, position, side="right") - 1]
+
+        empty = np.flatnonzero(indptr[1:] == indptr[:-1])
+        if empty.size:
+            raise ValueError(f"document {self.doc_ids[empty[0]]} is empty")
+        indices, data = counts.indices, counts.data
+        bad = np.flatnonzero((indices < 0) | (indices >= num_words))
+        if bad.size:
+            raise IndexError(f"document {doc_at(bad[0])}: word index {indices[bad[0]]} "
+                             f"out of range 0..{num_words - 1}")
+        bad = np.flatnonzero(~(np.isfinite(data) & (data >= 1) & (data == np.floor(data))))
+        if bad.size:
+            raise ValueError(f"document {doc_at(bad[0])}: count {data[bad[0]]:g} "
+                             "is not a positive whole number")
+        if not counts.has_sorted_indices:
+            counts = counts.sorted_indices()
+        # a repeated index is a zero step inside a row; steps across rows are exempt
+        steps = np.diff(counts.indices)
+        steps[indptr[1:-1] - 1] = 1
+        repeated = np.flatnonzero(steps == 0)
+        if repeated.size:
+            raise ValueError(f"document {doc_at(repeated[0])}: word index "
+                             f"{counts.indices[repeated[0]]} is repeated")
+        self.counts = counts
+        self.doc_lengths = np.asarray(counts.sum(axis=1), dtype=np.int64).ravel().tolist()
+        self.total_tokens = sum(self.doc_lengths)
 
     @classmethod
     def from_docs(
@@ -94,81 +142,44 @@ class Corpus:
         doc_years: dict[int, int] | None = None,
         dropped_doc_ids: Iterable[int] = (),
     ) -> "Corpus":
-        if len(docs) != len(doc_ids):
-            raise ValueError("docs and doc_ids must have the same length")
-        if len(set(doc_ids)) != len(doc_ids):
-            raise ValueError("doc_ids must be unique")
-        lengths = []
-        for doc_id, doc in zip(doc_ids, docs):
-            if not doc:
-                raise ValueError(f"document {doc_id} is empty")
-            for index, count in doc.items():
-                if not 0 <= index < vocab.size:
-                    raise IndexError(
-                        f"document {doc_id}: word index {index} out of range 0..{vocab.size - 1}"
-                    )
-                if count < 1:
-                    raise ValueError(f"document {doc_id}: count {count} is not positive")
-            lengths.append(sum(doc.values()))
+        """Build from one {word index: count} map per document."""
+        indptr = np.cumsum([0] + [len(doc) for doc in docs])
+        nnz = int(indptr[-1])
+        counts = sparse.csr_matrix(
+            (np.fromiter(chain.from_iterable(doc.values() for doc in docs), np.float64, nnz),
+             np.fromiter(chain.from_iterable(docs), np.int64, nnz),
+             indptr),
+            shape=(len(docs), vocab.size),
+        )
         return cls(
             vocab=vocab,
-            docs=docs,
+            counts=counts,
             doc_ids=list(doc_ids),
-            doc_lengths=lengths,
-            total_tokens=sum(lengths),
             doc_years=dict(doc_years) if doc_years else None,
             dropped_doc_ids=list(dropped_doc_ids),
         )
 
     @property
     def num_docs(self) -> int:
-        return len(self.docs)
+        return len(self.doc_ids)
 
     @property
     def num_words(self) -> int:
         return self.vocab.size
 
     def csr(self) -> sparse.csr_matrix:
-        """Doc-by-word count matrix, built once and cached."""
-        cached = getattr(self, "_csr", None)
-        if cached is None:
-            indptr = [0]
-            indices: list[int] = []
-            data: list[int] = []
-            for doc in self.docs:
-                for index, count in sorted(doc.items()):
-                    indices.append(index)
-                    data.append(count)
-                indptr.append(len(indices))
-            cached = sparse.csr_matrix(
-                (np.asarray(data, dtype=np.float64),
-                 np.asarray(indices, dtype=np.int32),
-                 np.asarray(indptr, dtype=np.int32)),
-                shape=(self.num_docs, self.num_words),
-            )
-            self._csr = cached
-        return cached
+        """The doc-by-word count matrix."""
+        return self.counts
 
     def word_totals(self) -> np.ndarray:
         """Total count of every word across the corpus."""
-        totals = np.zeros(self.num_words)
-        for doc in self.docs:
-            for index, count in doc.items():
-                totals[index] += count
-        return totals
+        return np.bincount(self.counts.indices, weights=self.counts.data,
+                           minlength=self.num_words)
 
     def with_years(self, years: dict[int, int]) -> "Corpus":
         """Attach a doc_id -> year map, restricted to retained documents."""
         known = {doc_id: years[doc_id] for doc_id in self.doc_ids if doc_id in years}
-        return Corpus(
-            vocab=self.vocab,
-            docs=self.docs,
-            doc_ids=self.doc_ids,
-            doc_lengths=self.doc_lengths,
-            total_tokens=self.total_tokens,
-            doc_years=known,
-            dropped_doc_ids=self.dropped_doc_ids,
-        )
+        return replace(self, doc_years=known)
 
 
 def parse_bag_of_words(docword_lines: Iterable[str], vocab_lines: Iterable[str]) -> Corpus:
@@ -217,8 +228,8 @@ def parse_bag_of_words(docword_lines: Iterable[str], vocab_lines: Iterable[str])
             raise IndexError(f"line {lineno}: doc id {doc_id} out of range 1..{num_docs}")
         if not 1 <= word_id <= num_words:
             raise IndexError(f"line {lineno}: word id {word_id} out of range 1..{num_words}")
-        if count <= 0:
-            raise ValueError(f"line {lineno}: count must be positive, got {count}")
+        if not 0 < count < 2**53:
+            raise ValueError(f"line {lineno}: count must be positive and below 2**53, got {count}")
         doc = docs_by_id.setdefault(doc_id, {})
         index = word_id - 1
         doc[index] = doc.get(index, 0) + count
@@ -250,12 +261,13 @@ def dump_bag_of_words(corpus: Corpus) -> tuple[str, str]:
     The declared D is the largest retained doc id, so reparsing the output
     yields a structurally identical corpus.
     """
-    triples = []
-    for doc_id, doc in zip(corpus.doc_ids, corpus.docs):
-        for index, count in sorted(doc.items()):
-            triples.append(f"{doc_id} {index + 1} {count}")
+    matrix = corpus.csr()
+    triples = map("{} {} {}".format,
+                  chain.from_iterable(map(repeat, corpus.doc_ids, np.diff(matrix.indptr).tolist())),
+                  (matrix.indices + 1).tolist(),
+                  matrix.data.astype(np.int64).tolist())
     max_id = max(corpus.doc_ids) if corpus.doc_ids else 0
-    docword = "\n".join([str(max_id), str(corpus.num_words), str(len(triples))] + triples)
+    docword = "\n".join([str(max_id), str(corpus.num_words), str(matrix.nnz), *triples])
     vocab = "\n".join(corpus.vocab.words)
     return docword + "\n", vocab + "\n"
 
@@ -275,40 +287,28 @@ def prune_vocabulary(corpus: Corpus, max_doc_fraction: float, top_b: int) -> Cor
     if top_b < 1:
         raise ValueError(f"top_b must be >= 1, got {top_b}")
 
+    matrix = corpus.csr()
     num_seen = corpus.num_docs + len(corpus.dropped_doc_ids)
-    doc_freq = np.zeros(corpus.num_words, dtype=np.int64)
-    totals = np.zeros(corpus.num_words, dtype=np.int64)
-    for doc in corpus.docs:
-        for index, count in doc.items():
-            doc_freq[index] += 1
-            totals[index] += count
-
-    candidates = [b for b in range(corpus.num_words) if doc_freq[b] <= max_doc_fraction * num_seen]
-    candidates.sort(key=lambda b: (-totals[b], b))
-    kept = sorted(candidates[:top_b])
-    if not kept:
+    doc_freq = np.bincount(matrix.indices, minlength=corpus.num_words)
+    candidates = np.flatnonzero(doc_freq <= max_doc_fraction * num_seen)
+    # a stable sort of the ascending candidates breaks ties by lower index
+    heaviest = np.argsort(-corpus.word_totals()[candidates], kind="stable")
+    kept = np.sort(candidates[heaviest[:top_b]])
+    if not kept.size:
         raise EmptyVocabularyError(
             f"no words left after removing those in more than {max_doc_fraction:.0%} of documents"
         )
 
-    remap = {old: new for new, old in enumerate(kept)}
-    new_docs: list[dict[int, int]] = []
-    new_ids: list[int] = []
-    newly_dropped: list[int] = []
-    for doc_id, doc in zip(corpus.doc_ids, corpus.docs):
-        reduced = {remap[i]: c for i, c in doc.items() if i in remap}
-        if reduced:
-            new_docs.append(reduced)
-            new_ids.append(doc_id)
-        else:
-            newly_dropped.append(doc_id)
-
+    reduced = matrix[:, kept]
+    nonempty = np.diff(reduced.indptr) > 0
+    new_ids = [doc_id for doc_id, keep in zip(corpus.doc_ids, nonempty) if keep]
+    newly_dropped = [doc_id for doc_id, keep in zip(corpus.doc_ids, nonempty) if not keep]
     years = None
     if corpus.doc_years is not None:
-        years = {i: corpus.doc_years[i] for i in new_ids if i in corpus.doc_years}
-    return Corpus.from_docs(
-        vocab=Vocabulary(tuple(corpus.vocab.words[b] for b in kept)),
-        docs=new_docs,
+        years = {i: corpus.doc_years[i] for i in new_ids if i in corpus.doc_years} or None
+    return Corpus(
+        vocab=Vocabulary(tuple(corpus.vocab.words[b] for b in kept.tolist())),
+        counts=reduced[nonempty],
         doc_ids=new_ids,
         doc_years=years,
         dropped_doc_ids=list(corpus.dropped_doc_ids) + newly_dropped,
@@ -316,19 +316,29 @@ def prune_vocabulary(corpus: Corpus, max_doc_fraction: float, top_b: int) -> Cor
 
 
 def dumps_corpus(corpus: Corpus) -> str:
+    matrix = corpus.csr()
+    indices = matrix.indices.tolist()
+    counts = matrix.data.astype(np.int64).tolist()
+    bounds = matrix.indptr.tolist()
     payload = {
         "format": CORPUS_FORMAT,
         "version": CORPUS_VERSION,
         "words": list(corpus.vocab.words),
         "doc_ids": corpus.doc_ids,
-        "docs": [
-            [[i for i, _ in sorted(doc.items())], [c for _, c in sorted(doc.items())]]
-            for doc in corpus.docs
-        ],
+        "docs": [[indices[a:b], counts[a:b]] for a, b in zip(bounds, bounds[1:])],
         "doc_years": sorted(corpus.doc_years.items()) if corpus.doc_years is not None else None,
         "dropped_doc_ids": corpus.dropped_doc_ids,
     }
     return json.dumps(payload, separators=(",", ":"))
+
+
+def _int_array(values, what: str) -> np.ndarray:
+    """JSON integers as an int64 array; bools, floats, strings and integers
+    beyond 64 bits (OverflowError) are corrupt."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        raise FormatError(f"{what} must be integers")
+    return np.array(values, dtype=np.int64)
 
 
 def loads_corpus(text: str) -> Corpus:
@@ -343,19 +353,27 @@ def loads_corpus(text: str) -> Corpus:
             f"unsupported corpus version {payload.get('version')!r}, expected {CORPUS_VERSION}"
         )
     try:
-        docs = [
-            {int(i): int(c) for i, c in zip(indices, counts)}
-            for indices, counts in payload["docs"]
-        ]
-        years = payload["doc_years"]
-        return Corpus.from_docs(
-            vocab=Vocabulary(tuple(payload["words"])),
-            docs=docs,
-            doc_ids=[int(i) for i in payload["doc_ids"]],
-            doc_years={int(i): int(y) for i, y in years} if years is not None else None,
-            dropped_doc_ids=[int(i) for i in payload["dropped_doc_ids"]],
+        docs = payload["docs"]
+        if not all(isinstance(doc, list) and len(doc) == 2 and len(doc[0]) == len(doc[1])
+                   for doc in docs):
+            raise FormatError("every document must be an [indices, counts] pair of equal lengths")
+        vocab = Vocabulary(tuple(payload["words"]))
+        matrix = sparse.csr_matrix(
+            (_int_array(chain.from_iterable(doc[1] for doc in docs), "counts").astype(np.float64),
+             _int_array(chain.from_iterable(doc[0] for doc in docs), "word indices"),
+             np.cumsum([0] + [len(doc[0]) for doc in docs])),
+            shape=(len(docs), vocab.size),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        years = payload["doc_years"]
+        return Corpus(
+            vocab=vocab,
+            counts=matrix,
+            doc_ids=_int_array(payload["doc_ids"], "doc_ids").tolist(),
+            doc_years=None if years is None else (
+                dict(_int_array(pair, "doc_years").tolist() for pair in years) or None),
+            dropped_doc_ids=_int_array(payload["dropped_doc_ids"], "dropped_doc_ids").tolist(),
+        )
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"corpus payload is structurally invalid: {exc}") from exc
 
 

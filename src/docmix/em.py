@@ -2,7 +2,11 @@
 
 The fitting entry point is robust_em: launch several short EM runs from
 random starts, keep the best, then continue it with full EM while
-annihilating weak components. Two annihilation rules exist:
+annihilating weak components. Short starts and long runs are the same
+loop, each iteration one M-step and one E-step, and the E-step scores
+the corpus once; a short start runs exactly short_iters iterations, a
+long run (run_em) stops at the relative stall rel_tol or max_iters. Two
+annihilation rules exist:
 
 - "threshold" (default): between EM runs, delete every component whose
   weight drops below 1/(annihilation_divisor * k_current), renormalize,
@@ -45,9 +49,9 @@ from .errors import (
 )
 from .mixture import (
     MixtureModel,
+    _log_densities_from_scores,
     default_floor,
     dumps_model,
-    per_doc_log_density,
     score_matrix,
 )
 
@@ -148,9 +152,9 @@ def water_fill_project(weights, epsilon: float) -> np.ndarray:
 
 
 def e_step(corpus: Corpus, model: MixtureModel) -> tuple[np.ndarray, float]:
-    """Posterior responsibilities and total log-likelihood."""
+    """Posterior responsibilities and total log-likelihood, from one scoring pass."""
     scores = score_matrix(corpus.csr(), model)
-    log_density = per_doc_log_density(corpus, model)
+    log_density = _log_densities_from_scores(scores)
     resp = np.exp(scores - log_density[:, None])
     return resp, float(np.add.reduce(log_density))
 
@@ -196,10 +200,8 @@ def _objective(loglik: float, model: MixtureModel, weight_offset: float) -> floa
 
 
 def _em_loop(corpus: Corpus, init: MixtureModel, max_iters: int, rel_tol: float,
-             weight_offset: float = 0.0,
-             ) -> tuple[MixtureModel, list[float], bool, float,
-                        list[tuple[int, list[int]]]]:
-    """E and M steps until relative stall or max_iters.
+             weight_offset: float = 0.0, seed: int | None = None) -> FitResult:
+    """E and M steps from ``init`` until relative stall or max_iters.
 
     With a positive weight_offset (the MML rule) every component whose
     weight the M-step set to 0 is removed at once and recorded as
@@ -233,20 +235,6 @@ def _em_loop(corpus: Corpus, init: MixtureModel, max_iters: int, rel_tol: float,
         if eta < rel_tol:
             converged = True
             break
-    return model, trace, converged, eta, events
-
-
-def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
-           seed: int | None = None) -> FitResult:
-    """Alternate E and M steps from ``init`` until relative stall or max_iters.
-
-    Under ``config.annihilation == "mml"`` the M-step uses the MML weight
-    update and the fit records the components it annihilated.
-    """
-    model, trace, converged, eta, events = _em_loop(
-        corpus, init, config.max_iters, config.rel_tol,
-        config.weight_offset(corpus.num_words),
-    )
     return FitResult(
         model=model,
         loglik_trace=trace,
@@ -257,6 +245,17 @@ def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
         converged=converged,
         eta_effective=eta,
     )
+
+
+def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
+           seed: int | None = None) -> FitResult:
+    """Alternate E and M steps from ``init`` until relative stall or max_iters.
+
+    Under ``config.annihilation == "mml"`` the M-step uses the MML weight
+    update and the fit records the components it annihilated.
+    """
+    return _em_loop(corpus, init, config.max_iters, config.rel_tol,
+                    config.weight_offset(corpus.num_words), seed)
 
 
 def random_init(corpus: Corpus, num_comps: int, seed, epsilon: float,
@@ -272,48 +271,6 @@ def random_init(corpus: Corpus, num_comps: int, seed, epsilon: float,
         noisy = empirical * np.exp(noise_scale * rng.standard_normal(corpus.num_words))
         log_f[k] = np.log(water_fill_project(noisy, epsilon))
     return MixtureModel(pi=pi, log_f=log_f, epsilon=epsilon)
-
-
-def short_em(corpus: Corpus, num_comps: int, seed, short_iters: int,
-             epsilon: float | None = None, noise_scale: float = 1.0,
-             weight_offset: float = 0.0) -> FitResult:
-    """One random start advanced a fixed number of iterations, no stopping rule.
-
-    ``weight_offset`` is passed to every M-step (see m_step); the MML
-    rule's N/2 makes the start annihilate components as it goes.
-    """
-    if num_comps < 1:
-        raise ValueError("need at least one component")
-    if short_iters < 0:
-        raise ValueError("short_iters must be >= 0")
-    if epsilon is None:
-        epsilon = default_floor(corpus.total_tokens)
-    init = random_init(corpus, num_comps, seed, epsilon, noise_scale)
-    if short_iters == 0:
-        _, loglik = e_step(corpus, init)
-        return FitResult(
-            model=init,
-            loglik_trace=[loglik],
-            k_initial=num_comps,
-            k_final=num_comps,
-            annihilation_events=[],
-            seed=seed,
-            converged=False,
-            eta_effective=float("inf"),
-        )
-    model, trace, converged, eta, events = _em_loop(
-        corpus, init, short_iters, rel_tol=0.0, weight_offset=weight_offset
-    )
-    return FitResult(
-        model=model,
-        loglik_trace=trace,
-        k_initial=num_comps,
-        k_final=model.num_components,
-        annihilation_events=events,
-        seed=seed,
-        converged=converged,
-        eta_effective=eta,
-    )
 
 
 def _without(model: MixtureModel, removed: list[int]) -> MixtureModel:
@@ -380,9 +337,11 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
     weight_offset = config.weight_offset(corpus.num_words)
 
     def one_start(i: int) -> FitResult:
-        return short_em(corpus, k_max, config.rng_seed + i, config.short_iters,
-                        epsilon=epsilon, noise_scale=config.init_noise_scale,
-                        weight_offset=weight_offset)
+        # A fixed number of iterations: rel_tol 0 never stops a start early,
+        # not even one that stalls at eta == 0.
+        seed = config.rng_seed + i
+        init = random_init(corpus, k_max, seed, epsilon, config.init_noise_scale)
+        return _em_loop(corpus, init, config.short_iters, 0.0, weight_offset, seed)
 
     def score(fit: FitResult) -> float:
         if config.annihilation == "mml":

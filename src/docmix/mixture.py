@@ -7,10 +7,13 @@ density math runs in log space: a document of counts c scores
 a_k = log pi_k + sum_b c_b log f_k(b) under component k and its log
 density is the log-sum-exp over k.
 
-Bit-reproducibility contract: the per-component column of the score
-matrix is computed independently of the other components, and the
-log-sum-exp sums exponentials in sorted order, so permuting components
-leaves log_likelihood bit-identical.
+Bit-reproducibility contract: the score matrix is one sparse product of
+the count matrix with the K log-density rows, in which column k reads
+only component k and accumulates each document's terms in the same order
+for every column, and the log-sum-exp sums exponentials in sorted order,
+so permuting components leaves log_likelihood bit-identical. Every
+consumer, the E-step included, scores the corpus in one such pass; one
+document is the one-row slice ``corpus.csr()[l:l+1]``.
 """
 
 from __future__ import annotations
@@ -131,43 +134,18 @@ class MixtureModel:
 
 
 @dataclass(frozen=True)
-class DocLogJoint:
-    """Per-component scores a_k for one document plus their log-sum-exp."""
-
-    scores: np.ndarray
-    doc_log_density: float
-
-
-@dataclass(frozen=True)
 class Assignment:
     labels: np.ndarray
 
 
-def _counts_to_row(counts: dict[int, int], num_words: int) -> sparse.csr_matrix:
-    items = sorted(counts.items())
-    if not items:
-        raise ValueError("counts must be nonempty")
-    indices = np.asarray([i for i, _ in items], dtype=np.int32)
-    if indices[0] < 0 or indices[-1] >= num_words:
-        raise IndexError(
-            f"word index out of range 0..{num_words - 1}: {int(indices.min())}..{int(indices.max())}"
-        )
-    data = np.asarray([c for _, c in items], dtype=np.float64)
-    indptr = np.asarray([0, len(items)], dtype=np.int32)
-    return sparse.csr_matrix((data, indices, indptr), shape=(1, num_words))
-
-
 def score_matrix(counts: sparse.csr_matrix, model: MixtureModel) -> np.ndarray:
     """L x K matrix of a_k scores; column k never reads component j != k."""
-    num_docs = counts.shape[0]
     if counts.shape[1] != model.num_words:
         raise ValueError(
             f"corpus has {counts.shape[1]} words but model has {model.num_words}"
         )
-    log_pi = log_weights(model.pi)
-    scores = np.empty((num_docs, model.num_components), dtype=np.float64)
-    for k in range(model.num_components):
-        scores[:, k] = counts.dot(model.log_f[k]) + log_pi[k]
+    scores = counts @ model.log_f.T
+    scores += log_weights(model.pi)
     return scores
 
 
@@ -181,13 +159,6 @@ def _log_densities_from_scores(scores: np.ndarray) -> np.ndarray:
         shifted = np.exp(scores[finite] - top[finite, None])
         out[finite] = top[finite] + np.log(np.sort(shifted, axis=1).sum(axis=1))
     return out
-
-
-def doc_log_joint(counts: dict[int, int], model: MixtureModel) -> DocLogJoint:
-    row = _counts_to_row(counts, model.num_words)
-    scores = score_matrix(row, model)
-    density = _log_densities_from_scores(scores)
-    return DocLogJoint(scores=scores[0], doc_log_density=float(density[0]))
 
 
 def per_doc_log_density(corpus: Corpus, model: MixtureModel) -> np.ndarray:
@@ -273,7 +244,7 @@ def loads_model(text: str) -> MixtureModel:
         return model
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"model payload is structurally invalid: {exc}") from exc
 
 

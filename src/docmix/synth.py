@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from .corpus import Corpus, Vocabulary
@@ -112,13 +113,19 @@ def generate_corpus(mix: PlantedMixture, num_docs: int,
     rng = np.random.default_rng(seed)
     labels = rng.choice(mix.num_components, size=num_docs, p=mix.weights)
     lengths = rng.integers(low, high + 1, size=num_docs)
-    docs = []
+    indices, counts = [], []
     for l in range(num_docs):
-        counts = rng.multinomial(lengths[l], mix.densities[labels[l]])
-        docs.append({int(b): int(c) for b, c in enumerate(counts) if c > 0})
+        draw = rng.multinomial(lengths[l], mix.densities[labels[l]])
+        words = np.flatnonzero(draw)
+        indices.append(words)
+        counts.append(draw[words])
+    indptr = np.cumsum([0] + [words.size for words in indices])
+    matrix = sparse.csr_matrix(
+        (np.concatenate(counts).astype(np.float64), np.concatenate(indices), indptr),
+        shape=(num_docs, mix.num_words),
+    )
     vocab = Vocabulary(tuple(f"w{b:04d}" for b in range(mix.num_words)))
-    corpus = Corpus.from_docs(vocab=vocab, docs=docs,
-                              doc_ids=list(range(1, num_docs + 1)))
+    corpus = Corpus(vocab=vocab, counts=matrix, doc_ids=list(range(1, num_docs + 1)))
     return PlantedCorpus(
         corpus=corpus,
         labels_true=labels,
@@ -141,6 +148,9 @@ def brute_force_loglik(corpus: Corpus, model: MixtureModel) -> float:
             f"document of {max(corpus.doc_lengths)} tokens at floor exponent "
             f"{tau:.2f} exceeds the oracle's range"
         )
+    matrix = corpus.csr()
+    bounds = matrix.indptr.tolist()
+    words, counts = matrix.indices.tolist(), matrix.data.astype(np.int64).tolist()
     with mpmath.workdps(ORACLE_DPS):
         weights = [mpmath.mpf(p) for p in model.pi.tolist()]
         densities = [
@@ -148,11 +158,11 @@ def brute_force_loglik(corpus: Corpus, model: MixtureModel) -> float:
             for row in model.log_f.tolist()
         ]
         total = mpmath.mpf(0)
-        for doc in corpus.docs:
+        for start, end in zip(bounds, bounds[1:]):
             doc_density = mpmath.mpf(0)
             for k in range(model.num_components):
                 product = weights[k]
-                for b, count in sorted(doc.items()):
+                for b, count in zip(words[start:end], counts[start:end]):
                     for _ in range(count):
                         product *= densities[k][b]
                 doc_density += product

@@ -6,19 +6,30 @@ from docmix.em import water_fill_project
 from docmix.mixture import MixtureModel
 
 
+TINY_DOCS = [
+    {0: 3, 1: 1},
+    {1: 2, 2: 2, 3: 1},
+    {0: 1, 4: 4},
+    {2: 5},
+    {0: 2, 1: 2, 2: 1, 3: 1, 4: 1},
+    {3: 3, 4: 2},
+]
+
+
 @pytest.fixture
 def tiny_corpus():
     """Six short documents over five words, counts chosen by hand."""
     vocab = Vocabulary(words=("alpha", "beta", "gamma", "delta", "eps"))
-    docs = [
-        {0: 3, 1: 1},
-        {1: 2, 2: 2, 3: 1},
-        {0: 1, 4: 4},
-        {2: 5},
-        {0: 2, 1: 2, 2: 1, 3: 1, 4: 1},
-        {3: 3, 4: 2},
+    return Corpus.from_docs(vocab, TINY_DOCS, doc_ids=list(range(1, 7)))
+
+
+def doc_rows(corpus):
+    """Each CSR row of the corpus as a {word index: count} dict."""
+    matrix = corpus.csr()
+    return [
+        dict(zip(matrix.indices[a:b].tolist(), matrix.data[a:b].astype(int).tolist()))
+        for a, b in zip(matrix.indptr[:-1], matrix.indptr[1:])
     ]
-    return Corpus.from_docs(vocab, docs, doc_ids=list(range(1, 7)))
 
 
 @pytest.fixture

@@ -60,6 +60,17 @@ class TestIngest:
                         "--out", str(tmp_path / "out.json")])
         assert code == 2
 
+    def test_word_id_out_of_range_is_data_error(self, tmp_path, capsys):
+        docword = tmp_path / "docword.txt"
+        docword.write_text("1\n2\n1\n1 3 1\n")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\nb\n")
+        code = cli.run(["ingest", str(docword), str(vocab),
+                        "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSweepSelect:
     def test_pipeline(self, planted_setup, tmp_path):
@@ -150,6 +161,20 @@ class TestSweepSelect:
         code = cli.run(["sweep", str(corpus_path), "--out",
                         str(tmp_path / "s.csv"), "--kmax", "2"])
         assert code == 3
+
+
+    def test_word_index_out_of_range_is_data_error(self, planted_setup, tmp_path, capsys):
+        _, corpus_path = planted_setup
+        blob = json.loads(corpus_path.read_text())
+        blob["words"] = blob["words"][:2]
+        blob["docs"] = [[[0, 9], [1, 2]]]
+        blob["doc_ids"] = [1]
+        corpus_path.write_text(json.dumps(blob))
+        code = cli.run(["sweep", str(corpus_path), "--out",
+                        str(tmp_path / "s.csv"), "--kmax", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -19,7 +19,7 @@ from docmix.corpus import (
 )
 from docmix.errors import EmptyVocabularyError, FormatError, ParseError
 
-from conftest import DOCWORD_TEXT, VOCAB_TEXT
+from conftest import DOCWORD_TEXT, TINY_DOCS, VOCAB_TEXT, doc_rows
 
 
 class TestParse:
@@ -27,9 +27,9 @@ class TestParse:
         corpus = parse_bag_of_words(DOCWORD_TEXT.splitlines(), VOCAB_TEXT.splitlines())
         assert corpus.num_docs == 3
         assert corpus.num_words == 5
-        assert corpus.docs[0] == {0: 3, 1: 1}
-        assert corpus.docs[1] == {1: 2, 2: 2, 3: 1}
-        assert corpus.docs[2] == {0: 1}
+        assert doc_rows(corpus)[0] == {0: 3, 1: 1}
+        assert doc_rows(corpus)[1] == {1: 2, 2: 2, 3: 1}
+        assert doc_rows(corpus)[2] == {0: 1}
         assert corpus.doc_ids == [1, 2, 3]
         assert corpus.total_tokens == 10
         assert corpus.vocab.words == ("alpha", "beta", "gamma", "delta", "eps")
@@ -37,7 +37,7 @@ class TestParse:
     def test_repeated_triples_accumulate(self):
         text = "1\n2\n2\n1 1 2\n1 1 3\n"
         corpus = parse_bag_of_words(text.splitlines(), "a\nb\n".splitlines())
-        assert corpus.docs[0] == {0: 5}
+        assert doc_rows(corpus)[0] == {0: 5}
 
     def test_header_not_integer(self):
         with pytest.raises(ParseError) as err:
@@ -93,7 +93,7 @@ def corpora(draw):
 def test_bag_of_words_round_trip(corpus):
     docword, vocab_text = dump_bag_of_words(corpus)
     back = parse_bag_of_words(docword.splitlines(), vocab_text.splitlines())
-    assert back.docs == corpus.docs
+    assert doc_rows(back) == doc_rows(corpus)
     assert back.vocab.words == corpus.vocab.words
 
 
@@ -101,7 +101,7 @@ def test_bag_of_words_round_trip(corpus):
 @settings(max_examples=40, deadline=None)
 def test_json_round_trip(corpus):
     back = loads_corpus(dumps_corpus(corpus))
-    assert back.docs == corpus.docs
+    assert doc_rows(back) == doc_rows(corpus)
     assert back.doc_ids == corpus.doc_ids
     assert back.vocab.words == corpus.vocab.words
     assert back.dropped_doc_ids == corpus.dropped_doc_ids
@@ -148,7 +148,7 @@ class TestPrune:
         once = prune_vocabulary(corpus, max_doc_fraction=0.6, top_b=4)
         twice = prune_vocabulary(once, max_doc_fraction=0.6, top_b=4)
         assert twice.vocab.words == once.vocab.words
-        assert twice.docs == once.docs
+        assert doc_rows(twice) == doc_rows(once)
 
     def test_everything_pruned_raises(self):
         corpus = self.build()
@@ -161,7 +161,7 @@ class TestPersistence:
         path = tmp_path / "c.json"
         save_corpus(tiny_corpus, path)
         back = load_corpus(path)
-        assert back.docs == tiny_corpus.docs
+        assert doc_rows(back) == doc_rows(tiny_corpus)
         assert back.doc_ids == tiny_corpus.doc_ids
 
     def test_not_json(self):
@@ -183,6 +183,20 @@ class TestPersistence:
     def test_missing_field(self, tiny_corpus):
         blob = json.loads(dumps_corpus(tiny_corpus))
         del blob["docs"]
+        with pytest.raises(FormatError):
+            loads_corpus(json.dumps(blob))
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda blob: blob["docs"][0][0].append(4), id="ragged-pair"),
+        pytest.param(lambda blob: blob["docs"].__setitem__(0, [[0, 0], [1, 7]]),
+                     id="repeated-word-index"),
+        pytest.param(lambda blob: blob["docs"][0][1].__setitem__(0, 2.7), id="float-count"),
+        pytest.param(lambda blob: blob["docs"][0][1].__setitem__(0, True), id="bool-count"),
+        pytest.param(lambda blob: blob["words"].__setitem__(0, 7), id="non-string-token"),
+    ])
+    def test_corrupt_container_rejected(self, tiny_corpus, corrupt):
+        blob = json.loads(dumps_corpus(tiny_corpus))
+        corrupt(blob)
         with pytest.raises(FormatError):
             loads_corpus(json.dumps(blob))
 
@@ -237,7 +251,7 @@ def test_csr_matches_docs(tiny_corpus):
     mat = tiny_corpus.csr()
     assert mat.shape == (6, 5)
     dense = mat.toarray()
-    for l, doc in enumerate(tiny_corpus.docs):
+    for l, doc in enumerate(TINY_DOCS):
         for b in range(5):
             assert dense[l, b] == doc.get(b, 0)
     assert tiny_corpus.csr() is mat
@@ -247,3 +261,5 @@ def test_word_totals(tiny_corpus):
     totals = tiny_corpus.word_totals()
     assert totals.sum() == tiny_corpus.total_tokens
     assert totals[0] == 3 + 1 + 2
+    assert totals.tolist() == [sum(doc.get(b, 0) for doc in TINY_DOCS) for b in range(5)]
+    assert tiny_corpus.doc_lengths == [sum(doc.values()) for doc in TINY_DOCS]

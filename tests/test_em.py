@@ -17,7 +17,6 @@ from docmix.em import (
     random_init,
     robust_em,
     run_em,
-    short_em,
     water_fill_project,
 )
 from docmix.errors import ConfigError, DegenerateFitError, InfeasibleFloorError
@@ -166,24 +165,31 @@ class TestRunEm:
         assert not fit.converged
 
 
+def short_start(corpus, num_comps, seed, short_iters, weight_offset=0.0):
+    """One random start advanced exactly short_iters iterations, as robust_em runs it."""
+    init = random_init(corpus, num_comps, seed, default_floor(corpus.total_tokens))
+    return em._em_loop(corpus, init, short_iters, 0.0, weight_offset, seed)
+
+
 class TestShortEm:
     def test_deterministic(self, tiny_corpus):
-        a = short_em(tiny_corpus, 3, seed=5, short_iters=4)
-        b = short_em(tiny_corpus, 3, seed=5, short_iters=4)
+        a = short_start(tiny_corpus, 3, seed=5, short_iters=4)
+        b = short_start(tiny_corpus, 3, seed=5, short_iters=4)
         assert a.loglik_trace == b.loglik_trace
         assert np.array_equal(a.model.log_f, b.model.log_f)
 
     def test_seed_changes_start(self, tiny_corpus):
-        a = short_em(tiny_corpus, 3, seed=5, short_iters=4)
-        b = short_em(tiny_corpus, 3, seed=6, short_iters=4)
+        a = short_start(tiny_corpus, 3, seed=5, short_iters=4)
+        b = short_start(tiny_corpus, 3, seed=6, short_iters=4)
         assert not np.array_equal(a.model.log_f, b.model.log_f)
 
-    def test_zero_iters_returns_init(self, tiny_corpus):
-        fit = short_em(tiny_corpus, 2, seed=1, short_iters=0)
-        eps = default_floor(tiny_corpus.total_tokens)
-        init = random_init(tiny_corpus, 2, 1, eps)
-        assert np.array_equal(fit.model.log_f, init.log_f)
-        assert len(fit.loglik_trace) == 1
+    def test_stalled_start_runs_every_iteration(self, tiny_corpus):
+        # K=1 sits at its fixed point after one step (eta == 0), yet the
+        # start still runs all short_iters iterations; the long run then
+        # converges at once and adds one value
+        fit = robust_em(tiny_corpus, 1, EmConfig(rng_seed=3, short_iters=6))
+        assert fit.loglik_trace[2:] == [fit.loglik_trace[1]] * 6
+        assert len(fit.loglik_trace) == 6 + 2
 
     def test_init_respects_floor(self, tiny_corpus):
         eps = default_floor(tiny_corpus.total_tokens)
@@ -381,8 +387,8 @@ class TestMmlAnnihilation:
         corpus = planted_corpus(10)
         config = EmConfig(rng_seed=10, n_starts=6, annihilation="mml")
         fit = robust_em(corpus, 6, config)
-        starts = [short_em(corpus, 6, config.rng_seed + i, config.short_iters,
-                           weight_offset=config.weight_offset(corpus.num_words))
+        starts = [short_start(corpus, 6, config.rng_seed + i, config.short_iters,
+                              weight_offset=config.weight_offset(corpus.num_words))
                   for i in range(config.n_starts)]
         lengths = [em.message_length(s.loglik_trace[-1], s.model.pi,
                                      corpus.num_docs, corpus.num_words - 1)

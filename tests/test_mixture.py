@@ -12,7 +12,6 @@ from docmix.mixture import (
     IdentifiabilityWarning,
     MixtureModel,
     default_floor,
-    doc_log_joint,
     dumps_model,
     kl_categorical,
     load_model,
@@ -50,15 +49,28 @@ class TestScoring:
         value = log_likelihood(corpus, model)
         assert abs(value - (-7.175701393026726)) < 1e-13
 
-    def test_doc_log_joint_matches_matrix_path(self):
-        model = two_component_model()
-        corpus = three_word_corpus()
-        scores = score_matrix(corpus.csr(), model)
-        densities = per_doc_log_density(corpus, model)
-        for l, doc in enumerate(corpus.docs):
-            single = doc_log_joint(doc, model)
-            assert np.array_equal(single.scores, scores[l])
-            assert single.doc_log_density == densities[l]
+    def test_score_matrix_equals_independent_columns(self):
+        # the one sparse product must equal K separate matvecs bit for bit:
+        # that is what keeps scores invariant under component permutation
+        rng = np.random.default_rng(3)
+        for trial in range(24):
+            k = int(rng.integers(1, 31))
+            b = 2 * k - 1 + int(rng.integers(0, 20))
+            model = random_model(k, b, 1000, seed=300 + trial)
+            if trial % 3 == 0 and k > 1:
+                pi = model.pi.copy()
+                pi[rng.integers(0, k)] = 0.0
+                model = MixtureModel(pi=pi / pi.sum(), log_f=model.log_f,
+                                     epsilon=model.epsilon)
+            counts = random_corpus(int(rng.integers(1, 80)), b, 300,
+                                   seed=400 + trial).csr()
+            log_pi = log_weights(model.pi)
+            expected = np.empty((counts.shape[0], k))
+            for j in range(k):
+                expected[:, j] = counts.dot(model.log_f[j]) + log_pi[j]
+            assert np.array_equal(score_matrix(counts, model), expected)
+            if trial % 3 == 0 and k > 1:
+                assert np.isneginf(expected).any()
 
     def test_log_likelihood_is_ordered_sum(self):
         model = random_model(3, 6, 100, seed=0)

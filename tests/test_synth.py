@@ -19,7 +19,7 @@ from docmix.synth import (
     planted_mixture,
 )
 
-from conftest import random_corpus, random_model
+from conftest import doc_rows, random_corpus, random_model
 
 
 class TestPlantedMixture:
@@ -72,7 +72,7 @@ class TestGenerateCorpus:
         mix = planted_mixture(2, 6, seed=8)
         a = generate_corpus(mix, 10, (4, 12), seed=9)
         b = generate_corpus(mix, 10, (4, 12), seed=9)
-        assert a.corpus.docs == b.corpus.docs
+        assert doc_rows(a.corpus) == doc_rows(b.corpus)
         assert np.array_equal(a.labels_true, b.labels_true)
 
     def test_degenerate_length_range(self):
@@ -93,7 +93,7 @@ class TestBruteForce:
         model = MixtureModel(pi=np.array([1.0]),
                              log_f=np.log(f)[None, :], epsilon=1e-3)
         want = sum(c * math.log(f[b])
-                   for doc in corpus.docs for b, c in doc.items())
+                   for doc in doc_rows(corpus) for b, c in doc.items())
         got = brute_force_loglik(corpus, model)
         assert abs(got - want) <= 1e-12 * abs(want)
 
