@@ -326,12 +326,24 @@ def _ladder_flag(value: str) -> list[int]:
     return ladder
 
 
+def _threads_flag(value: str) -> int:
+    try:
+        threads = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="base RNG seed (default 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for multi-start fits")
+    common.add_argument("--threads", type=_threads_flag, default=1,
+                        help="worker threads for each rung's short starts, which "
+                             "run in lockstep groups (at least one per thread); "
+                             "results do not depend on it (default 1)")
 
     em_flags = _Parser(add_help=False)
     em_flags.add_argument("--starts", type=int, default=15,

@@ -5,8 +5,20 @@ random starts, keep the best, then continue it with full EM while
 annihilating weak components. Short starts and long runs are the same
 loop, each iteration one M-step and one E-step, and the E-step scores
 the corpus once; a short start runs exactly short_iters iterations, a
-long run (run_em) stops at the relative stall rel_tol or max_iters. Two
-annihilation rules exist:
+long run (run_em) stops at the relative stall rel_tol or max_iters.
+
+The loop advances a block of models in lockstep: their parameters are
+stacked into one (sum of K) x B array, so an iteration is one sparse
+scoring product, one log-sum-exp per distinct K (over slices of
+documents, to bound its sorted copy), one X.T @ resp and one water-fill
+over all rows, whatever the number of models. run_em is the
+block of one. A rung's short starts run as a few such blocks: at least
+one per thread, and more when one (L, S*K) array of all S starts would
+exceed _BLOCK_BYTES, so memory stays flat as L, K or S grow. Every
+kernel gives each model of a block exactly the values it gets alone, so
+neither the thread count nor the grouping changes any result.
+
+Two annihilation rules exist:
 
 - "threshold" (default): between EM runs, delete every component whose
   weight drops below 1/(annihilation_divisor * k_current), renormalize,
@@ -47,9 +59,11 @@ from .errors import (
     InfeasibleFloorError,
     NumericalError,
 )
-from .mixture import (
+from .mixture import (  # score_matrix is also reached as docmix.em.score_matrix
     MixtureModel,
-    _log_densities_from_scores,
+    _log_sum_exp,
+    _scores,
+    _validate_block,
     default_floor,
     dumps_model,
     score_matrix,
@@ -119,44 +133,131 @@ def water_fill_project(weights, epsilon: float) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty vector")
+    return _water_fill_rows(w[None], epsilon)[0]
+
+
+def _water_fill_rows(weights, epsilon: float) -> np.ndarray:
+    """water_fill_project of every row of a nonempty 2-D array at once."""
+    # C order first: the row sums below must reduce each row pairwise, as
+    # a 1-D sum does; over an F-ordered array they run sequentially.
+    w = np.ascontiguousarray(weights, dtype=np.float64)
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    num = w.size
+    rows, num = w.shape
     if not 0 < epsilon:
         raise ValueError(f"floor must be positive, got {epsilon}")
     if num * epsilon > 1.0:
         raise InfeasibleFloorError(
             f"floor {epsilon} infeasible for {num} categories ({num}*{epsilon} > 1)"
         )
-    peak = w.max()
-    if not peak > 0:
+    peak = w.max(axis=1)
+    if not np.all(peak > 0):
         raise ValueError("weights must have positive total")
     # normalize in two steps (max first, then sum) so neither subnormal nor
     # huge inputs can underflow the floor comparisons or overflow the sums
-    w = w / peak
-    w = w / w.sum()
+    w = w / peak[:, None]
+    w = w / w.sum(axis=1)[:, None]
 
-    ws = np.sort(w)
+    ws = np.sort(w, axis=1)
     # suffix[p] = mass left to the free coordinates when the p smallest pin.
     # The smallest pin count whose lightest free coordinate clears the floor
     # is the KKT-consistent one; the comparison stays multiplicative so zero
     # weights never divide.
-    suffix = np.cumsum(ws[::-1])[::-1]
-    for pinned in range(num):
-        denom = 1.0 - pinned * epsilon
-        if ws[pinned] * denom >= suffix[pinned] * epsilon:
-            return np.maximum(epsilon, w * (denom / suffix[pinned]))
+    suffix = np.cumsum(ws[:, ::-1], axis=1)[:, ::-1]
+    denom = 1.0 - np.arange(num) * epsilon
+    consistent = ws * denom >= suffix * epsilon
+    pinned = consistent.argmax(axis=1)
+    at = np.arange(rows)
     # Unreachable: the last candidate pins all but the heaviest coordinate,
     # and a positive-total weight vector always clears the floor there.
-    raise NumericalError(f"no consistent water level for floor {epsilon}")
+    if not np.all(consistent[at, pinned]):
+        raise NumericalError(f"no consistent water level for floor {epsilon}")
+    return np.maximum(epsilon, w * (denom[pinned] / suffix[at, pinned])[:, None])
+
+
+# Bytes of the sorted copy the E-step makes of one slice of documents.
+_SORT_BYTES = 1 << 18
+
+# A block stacks S models: weights pi (N,) and log densities log_f (N, B),
+# model after model, N the sum of their component counts. ``runs`` lists
+# (K, count) for each stretch of consecutive models with K components.
+# Every kernel below treats each model as if it were alone: the sparse
+# products are column-independent, and each model's reductions run over
+# its own contiguous row, so a block gives each model's values bit for bit.
+
+
+def _runs(sizes) -> list[tuple[int, int]]:
+    runs: list[tuple[int, int]] = []
+    for k in sizes:
+        if runs and runs[-1][0] == k:
+            runs[-1] = (k, runs[-1][1] + 1)
+        else:
+            runs.append((k, 1))
+    return runs
+
+
+def _e_step_block(counts, pi: np.ndarray, log_f: np.ndarray,
+                  runs) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities (L, N) and each model's log-likelihood, from one
+    scoring pass; the score buffer becomes the responsibilities in place."""
+    scores = _scores(counts, pi, log_f)
+    num_docs = scores.shape[0]
+    # one row per model, so each log-likelihood is a pairwise row sum
+    log_density = np.empty((sum(n for _, n in runs), num_docs))
+    col = row = 0
+    for k, n in runs:
+        view = scores[:, col:col + n * k].reshape(num_docs, n, k)
+        # a few documents at a time, so the sorted copy stays small
+        step = max(1, _SORT_BYTES // (8 * n * k))
+        for top in range(0, num_docs, step):
+            part = view[top:top + step]
+            dens = _log_sum_exp(part)
+            part -= dens[:, :, None]
+            np.exp(part, out=part)
+            log_density[row:row + n, top:top + step] = dens.T
+        col, row = col + n * k, row + n
+    return scores, np.add.reduce(log_density, axis=1)
+
+
+def _m_step_block(counts, resp: np.ndarray, runs, epsilon: float,
+                  weight_offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """m_step for every model of a block: weights (N,), log densities (N, B)."""
+    num_words = counts.shape[1]
+    col_mass = resp.sum(axis=0)
+    if weight_offset:
+        col_mass = np.maximum(col_mass - weight_offset, 0.0)
+    pi = np.empty_like(col_mass)
+    col = 0
+    for k, n in runs:
+        mass = col_mass[col:col + n * k].reshape(n, k)
+        if weight_offset and not np.all(mass.any(axis=1)):
+            raise DegenerateFitError(
+                f"every component's responsibility mass is at most "
+                f"N/2 = {weight_offset}"
+            )
+        pi[col:col + n * k] = (mass / mass.sum(axis=1)[:, None]).ravel()
+        col += n * k
+    weighted_counts = counts.T.dot(resp)
+    live = col_mass > 0
+    pi[~live] = 0.0
+    log_f = np.full((resp.shape[1], num_words), -np.log(num_words))
+    log_f[live] = np.log(_water_fill_rows(weighted_counts.T[live], epsilon))
+    return pi, log_f
+
+
+def _validate_runs(pi: np.ndarray, log_f: np.ndarray, runs, epsilon: float) -> None:
+    col = 0
+    for k, n in runs:
+        _validate_block(pi[col:col + n * k].reshape(n, k), log_f[col:col + n * k],
+                        epsilon)
+        col += n * k
 
 
 def e_step(corpus: Corpus, model: MixtureModel) -> tuple[np.ndarray, float]:
     """Posterior responsibilities and total log-likelihood, from one scoring pass."""
-    scores = score_matrix(corpus.csr(), model)
-    log_density = _log_densities_from_scores(scores)
-    resp = np.exp(scores - log_density[:, None])
-    return resp, float(np.add.reduce(log_density))
+    resp, loglik = _e_step_block(corpus.csr(), model.pi, model.log_f,
+                                 [(model.num_components, 1)])
+    return resp, float(loglik[0])
 
 
 def m_step(corpus: Corpus, resp: np.ndarray, epsilon: float,
@@ -166,85 +267,123 @@ def m_step(corpus: Corpus, resp: np.ndarray, epsilon: float,
     Weights are pi_k proportional to max(0, n_k - weight_offset) for
     responsibility masses n_k; the default offset 0 is the plain EM
     update, N/2 the MML update, which maximizes the expected complete
-    log-likelihood minus (N/2) sum_k log pi_k.
+    log-likelihood minus (N/2) sum_k log pi_k. A component with no mass
+    gets weight 0 and the uniform density.
     """
-    num_docs, num_comps = resp.shape
-    num_words = corpus.num_words
-    col_mass = resp.sum(axis=0)
-    if weight_offset:
-        col_mass = np.maximum(col_mass - weight_offset, 0.0)
-        if not col_mass.any():
-            raise DegenerateFitError(
-                f"every component's responsibility mass is at most "
-                f"N/2 = {weight_offset}"
-            )
-    pi = col_mass / col_mass.sum()
-    weighted_counts = corpus.csr().T.dot(resp)
-    log_f = np.empty((num_comps, num_words))
-    for k in range(num_comps):
-        if col_mass[k] > 0:
-            log_f[k] = np.log(water_fill_project(weighted_counts[:, k], epsilon))
-        else:
-            pi[k] = 0.0
-            log_f[k] = -np.log(num_words)
+    pi, log_f = _m_step_block(corpus.csr(), resp, [(resp.shape[1], 1)], epsilon,
+                              weight_offset)
     return MixtureModel(pi=pi, log_f=log_f, epsilon=epsilon)
 
 
-def _objective(loglik: float, model: MixtureModel, weight_offset: float) -> float:
+def _objective(loglik: float, pi: np.ndarray, weight_offset: float) -> float:
     """What the EM loop ascends: the log-likelihood, minus
     weight_offset * sum_k log pi_k over the live components under MML."""
     if not weight_offset:
         return loglik
-    pi = model.pi[model.pi > 0]
+    pi = pi[pi > 0]
     return loglik - weight_offset * float(np.log(pi).sum())
 
 
-def _em_loop(corpus: Corpus, init: MixtureModel, max_iters: int, rel_tol: float,
-             weight_offset: float = 0.0, seed: int | None = None) -> FitResult:
-    """E and M steps from ``init`` until relative stall or max_iters.
+def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
+             seeds: list, max_iters: int, rel_tol: float,
+             weight_offset: float = 0.0) -> list[FitResult]:
+    """E and M steps for S models in lockstep, each until its relative
+    stall rel_tol or max_iters; one FitResult per model, in input order.
 
-    With a positive weight_offset (the MML rule) every component whose
-    weight the M-step set to 0 is removed at once and recorded as
-    (index of the first trace value computed without it, its indices).
+    The block holds weights ``pi`` (S, K) and log densities ``log_f``
+    (S*K, B); model s starts from rows s*K .. s*K + K - 1 and is recorded
+    with ``seeds[s]``. Each model's result is the one it would have run to
+    alone. A model leaves the block when it stops. With a positive
+    weight_offset (the MML rule) every component whose weight the M-step
+    set to 0 is removed at once and recorded as (index of the first trace
+    value computed without it, its indices).
     """
-    model = init
-    resp, loglik = e_step(corpus, model)
-    if not np.isfinite(loglik):
-        raise NumericalError(f"non-finite log-likelihood {loglik}", iteration=0)
-    trace = [loglik]
-    objective = _objective(loglik, model, weight_offset)
-    events: list[tuple[int, list[int]]] = []
-    converged = False
-    eta = float("inf")
-    for iteration in range(1, max_iters + 1):
-        model = m_step(corpus, resp, model.epsilon, weight_offset)
-        if weight_offset:
-            removed = np.flatnonzero(model.pi == 0).tolist()
-            if removed:
-                model = _without(model, removed)
-                events.append((len(trace), removed))
-        resp, new_loglik = e_step(corpus, model)
-        if not np.isfinite(new_loglik):
-            raise NumericalError(
-                f"non-finite log-likelihood {new_loglik}", iteration=iteration
-            )
-        trace.append(new_loglik)
-        new_objective = _objective(new_loglik, model, weight_offset)
-        eta = abs(new_objective - objective) / max(abs(objective), 1.0)
-        objective = new_objective
-        if eta < rel_tol:
-            converged = True
-            break
-    return FitResult(
-        model=model,
-        loglik_trace=trace,
-        k_initial=init.num_components,
-        k_final=model.num_components,
-        annihilation_events=events,
-        seed=seed,
-        converged=converged,
-        eta_effective=eta,
-    )
+    counts = corpus.csr()
+    num_models, num_comps = pi.shape
+    pi = pi.ravel()
+    members = list(range(num_models))      # block order of the live models
+    sizes = [num_comps] * num_models       # by model
+    traces: list[list[float]] = [[] for _ in members]
+    events: list[list[tuple[int, list[int]]]] = [[] for _ in members]
+    objective = [0.0] * num_models
+    eta = [float("inf")] * num_models
+    fits: list[FitResult | None] = [None] * num_models
+    runs = _runs(sizes)
+    resp, loglik = _e_step_block(counts, pi, log_f, runs)
+    for iteration in range(max_iters + 1):
+        if iteration:
+            pi, log_f = _m_step_block(counts, resp, runs, epsilon, weight_offset)
+            if weight_offset:
+                pi, log_f, runs = _drop_dead(members, sizes, traces, events, pi, log_f)
+            _validate_runs(pi, log_f, runs, epsilon)
+            resp, loglik = _e_step_block(counts, pi, log_f, runs)
+        bad = ~np.isfinite(loglik)
+        if bad.any():
+            raise NumericalError(f"non-finite log-likelihood {loglik[bad][0]}",
+                                 iteration=iteration)
+        stopped, col = [], 0
+        for s, value in zip(members, loglik.tolist()):
+            comps = slice(col, col + sizes[s])
+            col = comps.stop
+            traces[s].append(value)
+            new_objective = _objective(value, pi[comps], weight_offset)
+            if iteration:
+                eta[s] = abs(new_objective - objective[s]) / max(abs(objective[s]), 1.0)
+            objective[s] = new_objective
+            converged = eta[s] < rel_tol
+            if converged or iteration == max_iters:
+                fits[s] = FitResult(
+                    model=MixtureModel._from_checked(pi[comps].copy(),
+                                                     log_f[comps].copy(), epsilon),
+                    loglik_trace=traces[s],
+                    k_initial=num_comps,
+                    k_final=sizes[s],
+                    annihilation_events=events[s],
+                    seed=seeds[s],
+                    converged=converged,
+                    eta_effective=eta[s],
+                )
+                stopped.append(s)
+        if stopped:
+            if len(stopped) == len(members):
+                break
+            cols = _columns(members, sizes)
+            members[:] = [s for s in members if s not in stopped]
+            keep = np.concatenate([cols[s] for s in members])
+            pi, log_f, resp = pi[keep], log_f[keep], resp[:, keep]
+            runs = _runs(sizes[s] for s in members)
+    return fits
+
+
+def _columns(members, sizes) -> dict[int, np.ndarray]:
+    """Each member's block columns."""
+    bounds = np.cumsum([0] + [sizes[s] for s in members])
+    return {s: np.arange(bounds[j], bounds[j + 1]) for j, s in enumerate(members)}
+
+
+def _drop_dead(members, sizes, traces, events, pi, log_f):
+    """Remove every zero-weight component from the block after an MML
+    M-step, renormalize the survivors' weights and record the events;
+    members are reordered so that equal sizes stay adjacent."""
+    kept, changed = _columns(members, sizes), False
+    for s, cols in kept.items():
+        dead = pi[cols] == 0
+        if dead.any():
+            events[s].append((len(traces[s]), np.flatnonzero(dead).tolist()))
+            changed = True
+        kept[s] = cols[~dead]
+    if changed:
+        members.sort(key=lambda s: -kept[s].size)
+        index = np.concatenate([kept[s] for s in members])
+        pi, log_f = pi[index], log_f[index]
+        col = 0
+        for s in members:
+            comps = slice(col, col + kept[s].size)
+            if kept[s].size < sizes[s]:
+                pi[comps] /= pi[comps].sum()
+                sizes[s] = kept[s].size
+            col = comps.stop
+    return pi, log_f, _runs(sizes[s] for s in members)
 
 
 def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
@@ -254,23 +393,35 @@ def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
     Under ``config.annihilation == "mml"`` the M-step uses the MML weight
     update and the fit records the components it annihilated.
     """
-    return _em_loop(corpus, init, config.max_iters, config.rel_tol,
-                    config.weight_offset(corpus.num_words), seed)
+    [fit] = _em_loop(corpus, init.pi[None], init.log_f, init.epsilon, [seed],
+                     config.max_iters, config.rel_tol,
+                     config.weight_offset(corpus.num_words))
+    return fit
+
+
+def _random_init_block(corpus: Corpus, num_comps: int, seeds, epsilon: float,
+                       noise_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """random_init for each seed, as a block: weights (S, K), log densities (S*K, B)."""
+    num_words = corpus.num_words
+    empirical = corpus.word_totals() / corpus.total_tokens
+    pi = np.empty((len(seeds), num_comps))
+    noise = np.empty((len(seeds) * num_comps, num_words))
+    for s, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        draws = rng.exponential(size=num_comps)
+        pi[s] = draws / draws.sum()
+        noise[s * num_comps:(s + 1) * num_comps] = rng.standard_normal((num_comps, num_words))
+    log_f = np.log(_water_fill_rows(empirical * np.exp(noise_scale * noise), epsilon))
+    _validate_block(pi, log_f, epsilon)
+    return pi, log_f
 
 
 def random_init(corpus: Corpus, num_comps: int, seed, epsilon: float,
                 noise_scale: float = 1.0) -> MixtureModel:
     """Random start: uniform-simplex weights, empirical word law times
     lognormal noise per component, then water-filled to the floor."""
-    rng = np.random.default_rng(seed)
-    draws = rng.exponential(size=num_comps)
-    pi = draws / draws.sum()
-    empirical = corpus.word_totals() / corpus.total_tokens
-    log_f = np.empty((num_comps, corpus.num_words))
-    for k in range(num_comps):
-        noisy = empirical * np.exp(noise_scale * rng.standard_normal(corpus.num_words))
-        log_f[k] = np.log(water_fill_project(noisy, epsilon))
-    return MixtureModel(pi=pi, log_f=log_f, epsilon=epsilon)
+    pi, log_f = _random_init_block(corpus, num_comps, [seed], epsilon, noise_scale)
+    return MixtureModel._from_checked(pi[0], log_f, epsilon)
 
 
 def _without(model: MixtureModel, removed: list[int]) -> MixtureModel:
@@ -309,6 +460,10 @@ def message_length(loglik: float, pi, num_docs: int, num_params: int) -> float:
 
 MAX_ANNIHILATION_ROUNDS = 1000
 
+# Bytes of one (L, S*K) array above which a rung's starts split into more
+# lockstep groups than threads, so that the block's arrays stay this small.
+_BLOCK_BYTES = 2 << 20
+
 
 def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
               epsilon: float | None = None, threads: int = 1) -> FitResult:
@@ -327,6 +482,8 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if epsilon is None:
         epsilon = default_floor(corpus.total_tokens)
     if corpus.num_words * epsilon > 1.0:
@@ -336,12 +493,13 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
 
     weight_offset = config.weight_offset(corpus.num_words)
 
-    def one_start(i: int) -> FitResult:
+    def run_group(seeds: list[int]) -> list[FitResult]:
         # A fixed number of iterations: rel_tol 0 never stops a start early,
         # not even one that stalls at eta == 0.
-        seed = config.rng_seed + i
-        init = random_init(corpus, k_max, seed, epsilon, config.init_noise_scale)
-        return _em_loop(corpus, init, config.short_iters, 0.0, weight_offset, seed)
+        pi, log_f = _random_init_block(corpus, k_max, seeds, epsilon,
+                                       config.init_noise_scale)
+        return _em_loop(corpus, pi, log_f, epsilon, seeds, config.short_iters, 0.0,
+                        weight_offset)
 
     def score(fit: FitResult) -> float:
         if config.annihilation == "mml":
@@ -349,11 +507,16 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
                                    corpus.num_docs, 2 * weight_offset)
         return fit.loglik_trace[-1]
 
-    if threads > 1:
+    num_starts = config.n_starts
+    block_bytes = 8 * corpus.num_docs * k_max * num_starts
+    num_groups = min(num_starts, max(threads, -(-block_bytes // _BLOCK_BYTES)))
+    groups = [[config.rng_seed + i for i in chunk.tolist()]
+              for chunk in np.array_split(np.arange(num_starts), num_groups)]
+    if threads > 1 and num_groups > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            starts = list(pool.map(one_start, range(config.n_starts)))
+            starts = [fit for fits in pool.map(run_group, groups) for fit in fits]
     else:
-        starts = [one_start(i) for i in range(config.n_starts)]
+        starts = [fit for seeds in groups for fit in run_group(seeds)]
     best = max(range(config.n_starts), key=lambda i: (score(starts[i]), -i))
 
     model = starts[best].model

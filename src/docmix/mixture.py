@@ -13,7 +13,9 @@ only component k and accumulates each document's terms in the same order
 for every column, and the log-sum-exp sums exponentials in sorted order,
 so permuting components leaves log_likelihood bit-identical. Every
 consumer, the E-step included, scores the corpus in one such pass; one
-document is the one-row slice ``corpus.csr()[l:l+1]``.
+document is the one-row slice ``corpus.csr()[l:l+1]``. The same holds
+for a stack of several models' components, which the EM loop scores in
+one pass: each model's columns come out as if it were scored alone.
 """
 
 from __future__ import annotations
@@ -55,6 +57,39 @@ def log_weights(pi: np.ndarray) -> np.ndarray:
         return np.log(pi)
 
 
+def _validate_block(pi: np.ndarray, log_f: np.ndarray, epsilon: float) -> None:
+    """Check S models of K components at once: weights ``pi`` (S, K), log
+    densities ``log_f`` (S*K, B), model s owning rows s*K .. s*K + K - 1.
+
+    Each model's weights are nonnegative with one positive and sum to 1;
+    every log density is finite and at most 0, every density at least the
+    floor and every density row sums to 1. Log densities are range-checked
+    before they are exponentiated, so no input can overflow.
+    """
+    if not 0 < epsilon < 1:
+        raise ValueError(f"floor must be in (0, 1), got {epsilon}")
+    if np.any(pi < 0):
+        raise ValueError("mixture weights must be nonnegative")
+    if not np.all(np.any(pi > 0, axis=1)):
+        raise ValueError("at least one mixture weight must be positive")
+    sums = pi.sum(axis=1)
+    off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
+    if np.any(off):
+        raise ValueError(f"mixture weights sum to {sums[off][0]!r}, not 1")
+    if not np.all(np.isfinite(log_f)):
+        raise ValueError("log densities must be finite")
+    if np.any(log_f > 0):
+        raise ValueError(f"log density {log_f.max()!r} above 0: a density entry exceeds 1")
+    f = np.exp(log_f)
+    if f.min() < epsilon - FLOOR_SLACK:
+        raise ValueError(
+            f"density entry {f.min()!r} below floor {epsilon!r}"
+        )
+    row_err = np.abs(f.sum(axis=1) - 1.0).max()
+    if row_err > DENSITY_SUM_TOL:
+        raise ValueError(f"density rows sum to 1 within {row_err!r} only")
+
+
 @dataclass(frozen=True)
 class MixtureModel:
     pi: np.ndarray
@@ -62,6 +97,9 @@ class MixtureModel:
     epsilon: float
 
     def __post_init__(self):
+        self._freeze(check=True)
+
+    def _freeze(self, check: bool) -> None:
         pi = np.ascontiguousarray(np.asarray(self.pi, dtype=np.float64))
         log_f = np.ascontiguousarray(np.asarray(self.log_f, dtype=np.float64))
         if pi.ndim != 1 or log_f.ndim != 2 or log_f.shape[0] != pi.shape[0]:
@@ -72,14 +110,25 @@ class MixtureModel:
         log_f.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "log_f", log_f)
-        self.validate()
+        if check:
+            self.validate()
         if self.num_words < 2 * self.num_components - 1:
             warnings.warn(
                 f"B={self.num_words} < 2K-1={2 * self.num_components - 1}: "
                 "mixture parameters may not be identifiable",
                 IdentifiabilityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
+
+    @classmethod
+    def _from_checked(cls, pi, log_f, epsilon: float) -> "MixtureModel":
+        """A model from arrays that _validate_block has already passed."""
+        model = cls.__new__(cls)
+        object.__setattr__(model, "pi", pi)
+        object.__setattr__(model, "log_f", log_f)
+        object.__setattr__(model, "epsilon", epsilon)
+        model._freeze(check=False)
+        return model
 
     @property
     def num_components(self) -> int:
@@ -98,24 +147,7 @@ class MixtureModel:
         return np.exp(self.log_f)
 
     def validate(self) -> None:
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"floor must be in (0, 1), got {self.epsilon}")
-        if np.any(self.pi < 0):
-            raise ValueError("mixture weights must be nonnegative")
-        if not np.any(self.pi > 0):
-            raise ValueError("at least one mixture weight must be positive")
-        if abs(self.pi.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"mixture weights sum to {self.pi.sum()!r}, not 1")
-        if not np.all(np.isfinite(self.log_f)):
-            raise ValueError("log densities must be finite")
-        f = np.exp(self.log_f)
-        if f.min() < self.epsilon - FLOOR_SLACK:
-            raise ValueError(
-                f"density entry {f.min()!r} below floor {self.epsilon!r}"
-            )
-        row_err = np.abs(f.sum(axis=1) - 1.0).max()
-        if row_err > DENSITY_SUM_TOL:
-            raise ValueError(f"density rows sum to 1 within {row_err!r} only")
+        _validate_block(self.pi[None], self.log_f, self.epsilon)
 
     @classmethod
     def from_densities(cls, pi, f, epsilon: float) -> "MixtureModel":
@@ -140,29 +172,43 @@ class Assignment:
 
 def score_matrix(counts: sparse.csr_matrix, model: MixtureModel) -> np.ndarray:
     """L x K matrix of a_k scores; column k never reads component j != k."""
-    if counts.shape[1] != model.num_words:
+    return _scores(counts, model.pi, model.log_f)
+
+
+def _scores(counts: sparse.csr_matrix, pi: np.ndarray, log_f: np.ndarray) -> np.ndarray:
+    """Scores of any stack of components, weights ``pi`` and log densities
+    ``log_f`` row for row; column j of the product reads only row j."""
+    if counts.shape[1] != log_f.shape[1]:
         raise ValueError(
-            f"corpus has {counts.shape[1]} words but model has {model.num_words}"
+            f"corpus has {counts.shape[1]} words but model has {log_f.shape[1]}"
         )
-    scores = counts @ model.log_f.T
-    scores += log_weights(model.pi)
+    scores = counts @ log_f.T
+    scores += log_weights(pi)
     return scores
 
 
-def _log_densities_from_scores(scores: np.ndarray) -> np.ndarray:
-    # Summing exp in ascending order keeps the reduction identical under
-    # any permutation of the columns.
-    top = scores.max(axis=1)
+def _log_sum_exp(scores: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the last axis; -inf where that axis has no finite maximum.
+
+    Summing exp in ascending order keeps the reduction identical under
+    any permutation of the components, and the same for every leading
+    shape, so an (L, S, K) stack of S models gives each model's (L, K)
+    result bit for bit.
+    """
+    top = scores.max(axis=-1)
     finite = np.isfinite(top)
-    out = np.full(scores.shape[0], -np.inf)
+    out = np.full(top.shape, -np.inf)
     if np.any(finite):
-        shifted = np.exp(scores[finite] - top[finite, None])
-        out[finite] = top[finite] + np.log(np.sort(shifted, axis=1).sum(axis=1))
+        shifted = scores[finite]
+        shifted -= top[finite, None]
+        np.exp(shifted, out=shifted)
+        shifted.sort(axis=-1)
+        out[finite] = top[finite] + np.log(shifted.sum(axis=-1))
     return out
 
 
 def per_doc_log_density(corpus: Corpus, model: MixtureModel) -> np.ndarray:
-    return _log_densities_from_scores(score_matrix(corpus.csr(), model))
+    return _log_sum_exp(score_matrix(corpus.csr(), model))
 
 
 def log_likelihood(corpus: Corpus, model: MixtureModel) -> float:

@@ -320,6 +320,8 @@ def run_sweep(corpus: Corpus, ladder, config: EmConfig,
         raise ValueError("ladder is empty")
     if any(k < 1 for k in ladder):
         raise ValueError("ladder entries must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     best: dict[int, SweepEntry] = {}
     failures: list[tuple[int, str]] = []
     for k_max in ladder:

@@ -136,6 +136,16 @@ class TestSweepSelect:
                         "--tokens", "100000"])
         assert code == 0
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_bad_threads_flag(self, planted_setup, tmp_path, threads, capsys):
+        _, corpus_path = planted_setup
+        code = cli.run(["sweep", str(corpus_path), "--out",
+                        str(tmp_path / "s.csv"), "--kmax", "2",
+                        "--threads", threads])
+        assert code == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_bad_epsilon_flag(self, planted_setup, tmp_path):
         _, corpus_path = planted_setup
         code = cli.run(["sweep", str(corpus_path), "--out",

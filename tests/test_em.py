@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from docmix.em import (
     run_em,
     water_fill_project,
 )
-from docmix.errors import ConfigError, DegenerateFitError, InfeasibleFloorError
+from docmix.errors import (
+    ConfigError,
+    DegenerateFitError,
+    InfeasibleFloorError,
+    NumericalError,
+)
 from docmix.mixture import FLOOR_SLACK, MixtureModel, default_floor, log_likelihood
 
 from conftest import random_corpus
@@ -95,6 +101,76 @@ class TestWaterFill:
             water_fill_project(np.zeros(3), 0.1)
 
 
+def reference_water_fill(w, epsilon):
+    """The water-fill of one row, scanning pin counts one at a time."""
+    w = np.asarray(w, dtype=np.float64)
+    w = w / w.max()
+    w = w / w.sum()
+    ws = np.sort(w)
+    suffix = np.cumsum(ws[::-1])[::-1]
+    for pinned in range(w.size):
+        denom = 1.0 - pinned * epsilon
+        if ws[pinned] * denom >= suffix[pinned] * epsilon:
+            return np.maximum(epsilon, w * (denom / suffix[pinned]))
+    raise AssertionError("no water level")
+
+
+class TestWaterFillRows:
+    """em._water_fill_rows, the M-step's water-fill over all rows at once,
+    against the one-row reference, bit for bit."""
+
+    def check(self, rows, epsilon):
+        expected = np.array([reference_water_fill(row, epsilon) for row in rows])
+        assert np.array_equal(em._water_fill_rows(rows, epsilon), expected)
+        for row, want in zip(rows, expected):
+            assert np.array_equal(water_fill_project(row, epsilon), want)
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(21)
+        for trial in range(20):
+            num = int(rng.integers(1, 400))
+            rows = rng.exponential(size=(int(rng.integers(1, 30)), num))
+            rows *= 10.0 ** rng.uniform(-5, 5, size=(rows.shape[0], 1))
+            self.check(rows, float(rng.uniform(0.01, 1.0)) / num)
+
+    def test_f_ordered_input(self):
+        # X.T @ resp transposed is F-ordered; its row sums must still be
+        # the pairwise sums a single contiguous row gets
+        rng = np.random.default_rng(22)
+        rows = np.asfortranarray(rng.exponential(size=(40, 300)))
+        assert not rows.flags.c_contiguous
+        self.check(rows, 1e-4)
+
+    def test_rows_with_zeros(self):
+        rng = np.random.default_rng(23)
+        rows = rng.exponential(size=(12, 50))
+        rows[rng.random(rows.shape) < 0.4] = 0.0
+        rows[:, 0] += 1.0
+        self.check(rows, 0.015)
+
+    def test_all_but_one_pinned(self):
+        rows = np.array([[1.0, 1e-9, 0.0, 2e-9],
+                         [0.0, 0.0, 5.0, 0.0],
+                         [1.0, 1.0, 1.0, 1.0]])
+        out = em._water_fill_rows(rows, 0.2)
+        np.testing.assert_allclose(out[0], [0.4, 0.2, 0.2, 0.2], atol=1e-15)
+        np.testing.assert_allclose(out[1], [0.2, 0.2, 0.4, 0.2], atol=1e-15)
+        self.check(rows, 0.2)
+
+    def test_per_row_errors(self):
+        good = np.ones((3, 4))
+        negative = good.copy()
+        negative[1, 2] = -0.5
+        with pytest.raises(ValueError, match="nonnegative"):
+            em._water_fill_rows(negative, 0.1)
+        zero = good.copy()
+        zero[2] = 0.0
+        with pytest.raises(ValueError, match="positive total"):
+            em._water_fill_rows(zero, 0.1)
+        with pytest.raises(InfeasibleFloorError):
+            em._water_fill_rows(good, 0.3)
+
+
 @given(st.lists(st.floats(0.0, 100.0), min_size=2, max_size=8),
        st.integers(1, 100))
 @settings(max_examples=80, deadline=None)
@@ -168,7 +244,9 @@ class TestRunEm:
 def short_start(corpus, num_comps, seed, short_iters, weight_offset=0.0):
     """One random start advanced exactly short_iters iterations, as robust_em runs it."""
     init = random_init(corpus, num_comps, seed, default_floor(corpus.total_tokens))
-    return em._em_loop(corpus, init, short_iters, 0.0, weight_offset, seed)
+    [fit] = em._em_loop(corpus, init.pi[None], init.log_f, init.epsilon, [seed],
+                        short_iters, 0.0, weight_offset)
+    return fit
 
 
 class TestShortEm:
@@ -276,6 +354,13 @@ class TestRobustEm:
             robust_em(tiny_corpus, 2, EmConfig(rng_seed=0), epsilon=0.5)
 
 
+class TestThreads:
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_below_one_rejected(self, tiny_corpus, threads):
+        with pytest.raises(ValueError, match="threads"):
+            robust_em(tiny_corpus, 2, EmConfig(rng_seed=0), threads=threads)
+
+
 def planted_corpus(seed):
     mix = dm.planted_mixture(3, 12, seed=np.random.SeedSequence((seed, 41)),
                              min_pairwise_kl=0.5)
@@ -286,18 +371,22 @@ def planted_corpus(seed):
 def recorded_fit(monkeypatch, corpus, k_max, config):
     """robust_em with one start, plus the weights behind each trace value.
 
-    The start's trace is followed by the long run's, whose first value
-    re-scores the start's model and is left out of the fit's trace.
+    The EM loop's E-step kernel is observed: with one start, each call
+    scores one model. The start's trace is followed by the long run's,
+    whose first value re-scores the start's model and is left out of the
+    fit's trace.
     """
     assert config.n_starts == 1
     calls = []
+    block_e_step = em._e_step_block
 
-    def recording_e_step(corpus, model):
-        resp, loglik = e_step(corpus, model)
-        calls.append((loglik, model.pi.copy()))
-        return resp, loglik
+    def recording_e_step(counts, pi, log_f, runs):
+        resp, logliks = block_e_step(counts, pi, log_f, runs)
+        [loglik] = logliks.tolist()
+        calls.append((loglik, pi.copy()))
+        return resp, logliks
 
-    monkeypatch.setattr(em, "e_step", recording_e_step)
+    monkeypatch.setattr(em, "_e_step_block", recording_e_step)
     fit = robust_em(corpus, k_max, config)
     head = config.short_iters + 1
     calls = calls[:head] + calls[head + 1:]
@@ -418,6 +507,94 @@ class TestMmlAnnihilation:
                                  "init_noise_scale"]
         mml = json.loads(dumps_run_log(fit, self.MML))["config"]
         assert mml == {**default, "annihilation": "mml"}
+
+
+def short_phase(monkeypatch, corpus, k_max, config, threads=1):
+    """The per-start fits of robust_em's short phase, in seed order."""
+    seen = []
+    loop = em._em_loop
+
+    def recording_loop(*args):
+        fits = loop(*args)
+        if args[6] == 0.0:
+            seen.append(fits)
+        return fits
+
+    monkeypatch.setattr(em, "_em_loop", recording_loop)
+    robust_em(corpus, k_max, config, threads=threads)
+    monkeypatch.setattr(em, "_em_loop", loop)
+    return [fit for fits in sorted(seen, key=lambda fits: fits[0].seed) for fit in fits]
+
+
+class TestLockstep:
+    """Every start of a lockstep block ends exactly where it ends alone."""
+
+    CASES = {
+        # K >= 8 under the threshold rule: wide log-sum-exp rows
+        "threshold": (lambda: random_corpus(60, 24, 80, seed=5), 9),
+        # MML: starts drop components inside the block, so K turns ragged
+        "mml": (lambda: planted_corpus(10), 6),
+    }
+
+    @pytest.mark.parametrize("rule", ["threshold", "mml"])
+    @pytest.mark.parametrize("threads,block_bytes", [
+        (1, None), (2, None), (3, None),   # the default grouping
+        (1, 1), (2, 1),                    # one start per group
+        (1, 1 << 40),                      # every start in one group
+    ])
+    def test_each_start_equals_its_run_alone(self, monkeypatch, rule, threads,
+                                             block_bytes):
+        make_corpus, k_max = self.CASES[rule]
+        corpus = make_corpus()
+        config = EmConfig(rng_seed=40, n_starts=7, annihilation=rule)
+        if block_bytes is not None:
+            monkeypatch.setattr(em, "_BLOCK_BYTES", block_bytes)
+        block = short_phase(monkeypatch, corpus, k_max, config, threads)
+        assert [fit.seed for fit in block] == list(range(40, 47))
+        for i, fit in enumerate(block):
+            alone_config = replace(config, rng_seed=40 + i, n_starts=1)
+            [alone] = short_phase(monkeypatch, corpus, k_max, alone_config)
+            assert fit.loglik_trace == alone.loglik_trace
+            assert fit.annihilation_events == alone.annihilation_events
+            assert np.array_equal(fit.model.pi, alone.model.pi)
+            assert np.array_equal(fit.model.log_f, alone.model.log_f)
+            assert (fit.k_final, fit.converged, fit.eta_effective) == (
+                alone.k_final, alone.converged, alone.eta_effective)
+        if rule == "mml":
+            # the block held starts of different sizes at some iteration
+            sizes = [[fit.k_initial - sum(len(gone) for at, gone in fit.annihilation_events
+                                          if at <= t)
+                      for fit in block] for t in range(config.short_iters + 1)]
+            assert any(len(set(at_t)) > 1 for at_t in sizes)
+
+    def test_run_em_is_the_loop_for_one_model(self, tiny_corpus, tiny_model):
+        fit = run_em(tiny_corpus, tiny_model, EmConfig())
+        model, trace = tiny_model, []
+        resp, loglik = e_step(tiny_corpus, model)
+        trace.append(loglik)
+        for _ in range(len(fit.loglik_trace) - 1):
+            model = m_step(tiny_corpus, resp, model.epsilon)
+            resp, loglik = e_step(tiny_corpus, model)
+            trace.append(loglik)
+        assert fit.loglik_trace == trace
+        assert np.array_equal(fit.model.log_f, model.log_f)
+
+    def test_non_finite_loglik_names_its_iteration(self, tiny_corpus, tiny_model,
+                                                   monkeypatch):
+        block_e_step = em._e_step_block
+        calls = []
+
+        def failing(*args):
+            resp, logliks = block_e_step(*args)
+            calls.append(None)
+            if len(calls) == 3:
+                logliks[-1] = np.nan
+            return resp, logliks
+
+        monkeypatch.setattr(em, "_e_step_block", failing)
+        with pytest.raises(NumericalError) as info:
+            robust_em(tiny_corpus, 2, EmConfig(rng_seed=1, n_starts=3))
+        assert info.value.iteration == 2
 
 
 class TestConfig:

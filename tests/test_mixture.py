@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,15 @@ class TestPersistence:
         blob["K"] = 3
         with pytest.raises(FormatError):
             loads_model(json.dumps(blob))
+
+    def test_density_above_one_rejected_before_exp(self):
+        # exp(800) would overflow; the range check must come first
+        blob = {"format": "docmix.model", "version": 1, "K": 1, "B": 2,
+                "epsilon_n": 0.01, "pi": [1.0], "log_f": [[800.0, -800.0]]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="exceeds 1"):
+                loads_model(json.dumps(blob))
 
 
 @given(st.integers(0, 10_000))

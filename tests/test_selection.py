@@ -296,6 +296,11 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(tiny_corpus, [], EmConfig())
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one(self, tiny_corpus, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(tiny_corpus, [1, 2], EmConfig(), threads=threads)
+
 
 def test_derive_seed_is_stable_and_spread():
     assert derive_seed(7, 3) == derive_seed(7, 3)
