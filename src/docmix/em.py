@@ -16,7 +16,9 @@ block of one. A rung's short starts run as a few such blocks: at least
 one per thread, and more when one (L, S*K) array of all S starts would
 exceed _BLOCK_BYTES, so memory stays flat as L, K or S grow. Every
 kernel gives each model of a block exactly the values it gets alone, so
-neither the thread count nor the grouping changes any result.
+neither the thread count nor the grouping changes any result. A group
+that fails reruns its starts one by one, so the error a rung raises is
+always that of its lowest failing seed, at that start's own iteration.
 
 Two annihilation rules exist:
 
@@ -56,6 +58,7 @@ from .corpus import Corpus, atomic_write_text
 from .errors import (
     ConfigError,
     DegenerateFitError,
+    DocmixError,
     InfeasibleFloorError,
     NumericalError,
 )
@@ -333,8 +336,8 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
             converged = eta[s] < rel_tol
             if converged or iteration == max_iters:
                 fits[s] = FitResult(
-                    model=MixtureModel._from_checked(pi[comps].copy(),
-                                                     log_f[comps].copy(), epsilon),
+                    model=MixtureModel(pi=pi[comps].copy(), log_f=log_f[comps].copy(),
+                                       epsilon=epsilon),
                     loglik_trace=traces[s],
                     k_initial=num_comps,
                     k_final=sizes[s],
@@ -363,8 +366,7 @@ def _columns(members, sizes) -> dict[int, np.ndarray]:
 
 def _drop_dead(members, sizes, traces, events, pi, log_f):
     """Remove every zero-weight component from the block after an MML
-    M-step, renormalize the survivors' weights and record the events;
-    members are reordered so that equal sizes stay adjacent."""
+    M-step, renormalize the survivors' weights and record the events."""
     kept, changed = _columns(members, sizes), False
     for s, cols in kept.items():
         dead = pi[cols] == 0
@@ -373,7 +375,6 @@ def _drop_dead(members, sizes, traces, events, pi, log_f):
             changed = True
         kept[s] = cols[~dead]
     if changed:
-        members.sort(key=lambda s: -kept[s].size)
         index = np.concatenate([kept[s] for s in members])
         pi, log_f = pi[index], log_f[index]
         col = 0
@@ -421,7 +422,7 @@ def random_init(corpus: Corpus, num_comps: int, seed, epsilon: float,
     """Random start: uniform-simplex weights, empirical word law times
     lognormal noise per component, then water-filled to the floor."""
     pi, log_f = _random_init_block(corpus, num_comps, [seed], epsilon, noise_scale)
-    return MixtureModel._from_checked(pi[0], log_f, epsilon)
+    return MixtureModel(pi=pi[0], log_f=log_f, epsilon=epsilon)
 
 
 def _without(model: MixtureModel, removed: list[int]) -> MixtureModel:
@@ -496,10 +497,18 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
     def run_group(seeds: list[int]) -> list[FitResult]:
         # A fixed number of iterations: rel_tol 0 never stops a start early,
         # not even one that stalls at eta == 0.
-        pi, log_f = _random_init_block(corpus, k_max, seeds, epsilon,
-                                       config.init_noise_scale)
-        return _em_loop(corpus, pi, log_f, epsilon, seeds, config.short_iters, 0.0,
-                        weight_offset)
+        try:
+            pi, log_f = _random_init_block(corpus, k_max, seeds, epsilon,
+                                           config.init_noise_scale)
+            return _em_loop(corpus, pi, log_f, epsilon, seeds, config.short_iters,
+                            0.0, weight_offset)
+        except (DocmixError, ValueError):
+            if len(seeds) == 1:
+                raise
+            # A block fails at the earliest iteration any start fails. Rerun
+            # its starts alone, so the error raised is the lowest seed's,
+            # whatever the grouping.
+            return [fit for seed in seeds for fit in run_group([seed])]
 
     def score(fit: FitResult) -> float:
         if config.annihilation == "mml":

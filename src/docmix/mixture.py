@@ -97,9 +97,6 @@ class MixtureModel:
     epsilon: float
 
     def __post_init__(self):
-        self._freeze(check=True)
-
-    def _freeze(self, check: bool) -> None:
         pi = np.ascontiguousarray(np.asarray(self.pi, dtype=np.float64))
         log_f = np.ascontiguousarray(np.asarray(self.log_f, dtype=np.float64))
         if pi.ndim != 1 or log_f.ndim != 2 or log_f.shape[0] != pi.shape[0]:
@@ -110,25 +107,14 @@ class MixtureModel:
         log_f.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "log_f", log_f)
-        if check:
-            self.validate()
+        self.validate()
         if self.num_words < 2 * self.num_components - 1:
             warnings.warn(
                 f"B={self.num_words} < 2K-1={2 * self.num_components - 1}: "
                 "mixture parameters may not be identifiable",
                 IdentifiabilityWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
-
-    @classmethod
-    def _from_checked(cls, pi, log_f, epsilon: float) -> "MixtureModel":
-        """A model from arrays that _validate_block has already passed."""
-        model = cls.__new__(cls)
-        object.__setattr__(model, "pi", pi)
-        object.__setattr__(model, "log_f", log_f)
-        object.__setattr__(model, "epsilon", epsilon)
-        model._freeze(check=False)
-        return model
 
     @property
     def num_components(self) -> int:

@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -579,22 +580,37 @@ class TestLockstep:
         assert fit.loglik_trace == trace
         assert np.array_equal(fit.model.log_f, model.log_f)
 
-    def test_non_finite_loglik_names_its_iteration(self, tiny_corpus, tiny_model,
-                                                   monkeypatch):
-        block_e_step = em._e_step_block
-        calls = []
+    @pytest.mark.parametrize("threads,block_bytes", [
+        (1, None), (2, None), (1, 1), (2, 1), (1, 1 << 40),
+    ])
+    def test_failure_is_the_lowest_failing_seeds(self, tiny_corpus, monkeypatch,
+                                                 threads, block_bytes):
+        # seed -> iteration at which that start's log-likelihood turns NaN;
+        # the higher seed fails at the earlier iteration
+        poison = {41: 5, 43: 2}
+        local = threading.local()
+        loop, block_e_step = em._em_loop, em._e_step_block
 
-        def failing(*args):
+        def loop_with_seeds(corpus, pi, log_f, epsilon, seeds, *args):
+            local.seeds, local.iteration = seeds, 0
+            return loop(corpus, pi, log_f, epsilon, seeds, *args)
+
+        def poisoned(*args):
             resp, logliks = block_e_step(*args)
-            calls.append(None)
-            if len(calls) == 3:
-                logliks[-1] = np.nan
+            for j, seed in enumerate(local.seeds):
+                if poison.get(seed) == local.iteration:
+                    logliks[j] = np.nan
+            local.iteration += 1
             return resp, logliks
 
-        monkeypatch.setattr(em, "_e_step_block", failing)
+        monkeypatch.setattr(em, "_em_loop", loop_with_seeds)
+        monkeypatch.setattr(em, "_e_step_block", poisoned)
+        if block_bytes is not None:
+            monkeypatch.setattr(em, "_BLOCK_BYTES", block_bytes)
         with pytest.raises(NumericalError) as info:
-            robust_em(tiny_corpus, 2, EmConfig(rng_seed=1, n_starts=3))
-        assert info.value.iteration == 2
+            robust_em(tiny_corpus, 2, EmConfig(rng_seed=40, n_starts=4),
+                      threads=threads)
+        assert str(info.value) == "non-finite log-likelihood nan (iteration 5)"
 
 
 class TestConfig:
