@@ -314,6 +314,16 @@ def _epsilon_flag(value: str):
     return parsed
 
 
+def _positive_int(value: str) -> int:
+    try:
+        parsed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+    if parsed < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {parsed}")
+    return parsed
+
+
 def _ladder_flag(value: str) -> list[int]:
     try:
         ladder = [int(part) for part in value.split(",") if part.strip()]
@@ -323,34 +333,27 @@ def _ladder_flag(value: str) -> list[int]:
         ) from None
     if not ladder:
         raise argparse.ArgumentTypeError("ladder is empty")
+    if min(ladder) < 1:
+        raise argparse.ArgumentTypeError(
+            f"ladder entries must be at least 1, got {value!r}")
     return ladder
-
-
-def _threads_flag(value: str) -> int:
-    try:
-        threads = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
-    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="base RNG seed (default 0)")
-    common.add_argument("--threads", type=_threads_flag, default=1,
+    common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for each rung's short starts, which "
                              "run in lockstep groups (at least one per thread); "
                              "results do not depend on it (default 1)")
 
     em_flags = _Parser(add_help=False)
-    em_flags.add_argument("--starts", type=int, default=15,
+    em_flags.add_argument("--starts", type=_positive_int, default=15,
                           help="number of short-EM starts (default 15)")
-    em_flags.add_argument("--short-iters", type=int, default=10,
+    em_flags.add_argument("--short-iters", type=_positive_int, default=10,
                           help="iterations per short run (default 10)")
-    em_flags.add_argument("--max-iters", type=int, default=500,
+    em_flags.add_argument("--max-iters", type=_positive_int, default=500,
                           help="cap on full-EM iterations (default 500)")
     em_flags.add_argument("--rel-tol", type=float, default=1e-6,
                           help="relative loglik stall tolerance (default 1e-6)")
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit a ladder of component counts")
     p.add_argument("corpus", help="corpus file from ingest")
     p.add_argument("--out", required=True, help="output sweep CSV path")
-    p.add_argument("--kmax", type=int, default=None,
+    p.add_argument("--kmax", type=_positive_int, default=None,
                    help="run the ladder 1..kmax")
     p.add_argument("--ladder", type=_ladder_flag, default=None,
                    help="explicit comma-separated ladder (overrides --kmax)")
@@ -446,14 +449,7 @@ def _em_config_from(args) -> EmConfig:
 
 
 def _run_sweep(args) -> None:
-    if args.ladder is not None:
-        ladder = args.ladder
-    elif args.kmax is not None:
-        if args.kmax < 1:
-            raise ValueError("--kmax must be >= 1")
-        ladder = list(range(1, args.kmax + 1))
-    else:
-        raise ValueError("provide --kmax or --ladder")
+    ladder = args.ladder if args.ladder is not None else list(range(1, args.kmax + 1))
     sweep, failures = cmd_sweep(args.corpus, ladder, _em_config_from(args),
                                 args.out, epsilon=args.epsilon,
                                 threads=args.threads, fits_dir=args.fits_dir)
@@ -492,6 +488,8 @@ def _run_synth(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.kmax is None and args.ladder is None:
+        parser.error("sweep needs --kmax or --ladder")
     try:
         args.func(args)
     except (NumericalError, DegenerateFitError) as exc:

@@ -11,14 +11,18 @@ The loop advances a block of models in lockstep: their parameters are
 stacked into one (sum of K) x B array, so an iteration is one sparse
 scoring product, one log-sum-exp per distinct K (over slices of
 documents, to bound its sorted copy), one X.T @ resp and one water-fill
-over all rows, whatever the number of models. run_em is the
-block of one. A rung's short starts run as a few such blocks: at least
-one per thread, and more when one (L, S*K) array of all S starts would
-exceed _BLOCK_BYTES, so memory stays flat as L, K or S grow. Every
-kernel gives each model of a block exactly the values it gets alone, so
-neither the thread count nor the grouping changes any result. A group
-that fails reruns its starts one by one, so the error a rung raises is
-always that of its lowest failing seed, at that start's own iteration.
+over all rows, whatever the number of models. The block stops as one,
+after max_iters iterations or once every model has stalled; no model
+leaves it early. Short starts pass rel_tol 0, so each runs exactly
+short_iters iterations, and run_em is the block of one, so both stop
+where a model run alone would. A rung's short starts run as a few such
+blocks: at least one per thread, and more when one (L, S*K) array of
+all S starts would exceed _BLOCK_BYTES, so memory stays flat as L, K or
+S grow. Every kernel gives each model of a block exactly the values it
+gets alone, so neither the thread count nor the grouping changes any
+result. A group that fails reruns its starts one by one, so the error a
+rung raises is always that of its lowest failing seed, at that start's
+own iteration.
 
 Two annihilation rules exist:
 
@@ -290,13 +294,15 @@ def _objective(loglik: float, pi: np.ndarray, weight_offset: float) -> float:
 def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
              seeds: list, max_iters: int, rel_tol: float,
              weight_offset: float = 0.0) -> list[FitResult]:
-    """E and M steps for S models in lockstep, each until its relative
-    stall rel_tol or max_iters; one FitResult per model, in input order.
+    """E and M steps for S models in lockstep; one FitResult per model, in
+    input order.
 
     The block holds weights ``pi`` (S, K) and log densities ``log_f``
     (S*K, B); model s starts from rows s*K .. s*K + K - 1 and is recorded
-    with ``seeds[s]``. Each model's result is the one it would have run to
-    alone. A model leaves the block when it stops. With a positive
+    with ``seeds[s]``. The block stops as one: after max_iters M-steps, or
+    once every model's relative stall is below rel_tol. Each model's trace
+    begins with the one it runs alone; a model that stalls before the
+    others keeps iterating until the block stops. With a positive
     weight_offset (the MML rule) every component whose weight the M-step
     set to 0 is removed at once and recorded as (index of the first trace
     value computed without it, its indices).
@@ -304,87 +310,71 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
     counts = corpus.csr()
     num_models, num_comps = pi.shape
     pi = pi.ravel()
-    members = list(range(num_models))      # block order of the live models
-    sizes = [num_comps] * num_models       # by model
-    traces: list[list[float]] = [[] for _ in members]
-    events: list[list[tuple[int, list[int]]]] = [[] for _ in members]
+    sizes = [num_comps] * num_models
+    traces: list[list[float]] = [[] for _ in range(num_models)]
+    events: list[list[tuple[int, list[int]]]] = [[] for _ in range(num_models)]
     objective = [0.0] * num_models
     eta = [float("inf")] * num_models
-    fits: list[FitResult | None] = [None] * num_models
     runs = _runs(sizes)
     resp, loglik = _e_step_block(counts, pi, log_f, runs)
     for iteration in range(max_iters + 1):
         if iteration:
             pi, log_f = _m_step_block(counts, resp, runs, epsilon, weight_offset)
             if weight_offset:
-                pi, log_f, runs = _drop_dead(members, sizes, traces, events, pi, log_f)
+                pi, log_f, sizes = _drop_dead(sizes, events, iteration, pi, log_f)
+                runs = _runs(sizes)
             _validate_runs(pi, log_f, runs, epsilon)
             resp, loglik = _e_step_block(counts, pi, log_f, runs)
         bad = ~np.isfinite(loglik)
         if bad.any():
             raise NumericalError(f"non-finite log-likelihood {loglik[bad][0]}",
                                  iteration=iteration)
-        stopped, col = [], 0
-        for s, value in zip(members, loglik.tolist()):
-            comps = slice(col, col + sizes[s])
-            col = comps.stop
+        col = 0
+        for s, value in enumerate(loglik.tolist()):
             traces[s].append(value)
-            new_objective = _objective(value, pi[comps], weight_offset)
+            new_objective = _objective(value, pi[col:col + sizes[s]], weight_offset)
+            col += sizes[s]
             if iteration:
                 eta[s] = abs(new_objective - objective[s]) / max(abs(objective[s]), 1.0)
             objective[s] = new_objective
-            converged = eta[s] < rel_tol
-            if converged or iteration == max_iters:
-                fits[s] = FitResult(
-                    model=MixtureModel(pi=pi[comps].copy(), log_f=log_f[comps].copy(),
-                                       epsilon=epsilon),
-                    loglik_trace=traces[s],
-                    k_initial=num_comps,
-                    k_final=sizes[s],
-                    annihilation_events=events[s],
-                    seed=seeds[s],
-                    converged=converged,
-                    eta_effective=eta[s],
-                )
-                stopped.append(s)
-        if stopped:
-            if len(stopped) == len(members):
-                break
-            cols = _columns(members, sizes)
-            members[:] = [s for s in members if s not in stopped]
-            keep = np.concatenate([cols[s] for s in members])
-            pi, log_f, resp = pi[keep], log_f[keep], resp[:, keep]
-            runs = _runs(sizes[s] for s in members)
+        if iteration == max_iters or max(eta) < rel_tol:
+            break
+    fits, col = [], 0
+    for s, k in enumerate(sizes):
+        comps = slice(col, col + k)
+        col = comps.stop
+        fits.append(FitResult(
+            model=MixtureModel(pi=pi[comps].copy(), log_f=log_f[comps].copy(),
+                               epsilon=epsilon),
+            loglik_trace=traces[s],
+            k_initial=num_comps,
+            k_final=k,
+            annihilation_events=events[s],
+            seed=seeds[s],
+            converged=eta[s] < rel_tol,
+            eta_effective=eta[s],
+        ))
     return fits
 
 
-def _columns(members, sizes) -> dict[int, np.ndarray]:
-    """Each member's block columns."""
-    bounds = np.cumsum([0] + [sizes[s] for s in members])
-    return {s: np.arange(bounds[j], bounds[j + 1]) for j, s in enumerate(members)}
-
-
-def _drop_dead(members, sizes, traces, events, pi, log_f):
+def _drop_dead(sizes, events, at, pi, log_f):
     """Remove every zero-weight component from the block after an MML
-    M-step, renormalize the survivors' weights and record the events."""
-    kept, changed = _columns(members, sizes), False
-    for s, cols in kept.items():
-        dead = pi[cols] == 0
-        if dead.any():
-            events[s].append((len(traces[s]), np.flatnonzero(dead).tolist()))
-            changed = True
-        kept[s] = cols[~dead]
-    if changed:
-        index = np.concatenate([kept[s] for s in members])
-        pi, log_f = pi[index], log_f[index]
-        col = 0
-        for s in members:
-            comps = slice(col, col + kept[s].size)
-            if kept[s].size < sizes[s]:
-                pi[comps] /= pi[comps].sum()
-                sizes[s] = kept[s].size
-            col = comps.stop
-    return pi, log_f, _runs(sizes[s] for s in members)
+    M-step, renormalize the survivors' weights of each model that lost
+    one, and record its event at trace index ``at``; returns the new sizes."""
+    dead = pi == 0
+    if not dead.any():
+        return pi, log_f, sizes
+    pi, log_f = pi[~dead], log_f[~dead]
+    kept, old, col = [], 0, 0
+    for s, k in enumerate(sizes):
+        gone = np.flatnonzero(dead[old:old + k])
+        old, k = old + k, k - gone.size
+        if gone.size:
+            events[s].append((at, gone.tolist()))
+            pi[col:col + k] /= pi[col:col + k].sum()
+        kept.append(k)
+        col += k
+    return pi, log_f, kept
 
 
 def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
@@ -425,22 +415,17 @@ def random_init(corpus: Corpus, num_comps: int, seed, epsilon: float,
     return MixtureModel(pi=pi[0], log_f=log_f, epsilon=epsilon)
 
 
-def _without(model: MixtureModel, removed: list[int]) -> MixtureModel:
-    """The model with the listed components deleted and weights renormalized."""
-    keep = [k for k in range(model.num_components) if k not in removed]
-    if not keep:
-        raise DegenerateFitError("annihilation removed every component")
-    pi = model.pi[keep]
-    return MixtureModel(pi=pi / pi.sum(), log_f=model.log_f[keep].copy(),
-                        epsilon=model.epsilon)
-
-
 def _annihilate(model: MixtureModel, divisor: float) -> tuple[MixtureModel, list[int]]:
-    threshold = 1.0 / (divisor * model.num_components)
-    below = [k for k in range(model.num_components) if model.pi[k] < threshold]
-    if not below:
+    """Delete every component whose weight is below 1/(divisor * K) and
+    renormalize the rest; returns the model and the deleted indices."""
+    below = model.pi < 1.0 / (divisor * model.num_components)
+    if not below.any():
         return model, []
-    return _without(model, below), below
+    if below.all():
+        raise DegenerateFitError("annihilation removed every component")
+    pi = model.pi[~below]
+    return (MixtureModel(pi=pi / pi.sum(), log_f=model.log_f[~below], epsilon=model.epsilon),
+            np.flatnonzero(below).tolist())
 
 
 def message_length(loglik: float, pi, num_docs: int, num_params: int) -> float:

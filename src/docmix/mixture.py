@@ -135,13 +135,6 @@ class MixtureModel:
     def validate(self) -> None:
         _validate_block(self.pi[None], self.log_f, self.epsilon)
 
-    @classmethod
-    def from_densities(cls, pi, f, epsilon: float) -> "MixtureModel":
-        f = np.asarray(f, dtype=np.float64)
-        if np.any(f <= 0):
-            raise ValueError("densities must be strictly positive; apply the floor first")
-        return cls(pi=np.asarray(pi, dtype=np.float64), log_f=np.log(f), epsilon=epsilon)
-
     def permuted(self, order) -> "MixtureModel":
         """New model whose component j is this model's component order[j]."""
         order = np.asarray(order)

@@ -8,7 +8,6 @@ risk/agreement report against the planted truth.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -182,21 +181,6 @@ def _best_matching(true_labels: np.ndarray, fit_labels: np.ndarray,
     table = np.zeros((k_true, k_fit), dtype=np.int64)
     for t, f in zip(true_labels, fit_labels):
         table[t, f] += 1
-    if max(k_true, k_fit) <= 8:
-        # exhaustive over injections of the smaller side into the larger
-        if k_fit <= k_true:
-            best = max(
-                (sum(table[perm[j], j] for j in range(k_fit)), perm)
-                for perm in itertools.permutations(range(k_true), k_fit)
-            )
-            matched, perm = best
-            return matched, [(perm[j], j) for j in range(k_fit)]
-        best = max(
-            (sum(table[i, perm[i]] for i in range(k_true)), perm)
-            for perm in itertools.permutations(range(k_fit), k_true)
-        )
-        matched, perm = best
-        return matched, [(i, perm[i]) for i in range(k_true)]
     rows, cols = linear_sum_assignment(table, maximize=True)
     return int(table[rows, cols].sum()), list(zip(rows.tolist(), cols.tolist()))
 
@@ -222,13 +206,3 @@ def evaluate_run(planted: PlantedCorpus, fit: FitResult) -> EvalReport:
         agreement=matched / corpus.num_docs,
         matching=tuple(matching),
     )
-
-
-def label_agreement(true_labels, fit_labels, k_true: int, k_fit: int) -> float:
-    """Best-permutation fraction of matching labels, without a fit object."""
-    true_labels = np.asarray(true_labels)
-    fit_labels = np.asarray(fit_labels)
-    if true_labels.shape != fit_labels.shape:
-        raise ValueError("label vectors must align")
-    matched, _ = _best_matching(true_labels, fit_labels, k_true, k_fit)
-    return matched / true_labels.size

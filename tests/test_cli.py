@@ -146,6 +146,23 @@ class TestSweepSelect:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--kmax", "0"], "--kmax"),
+        (["--kmax", "2", "--starts", "0"], "--starts"),
+        (["--kmax", "2", "--short-iters", "0"], "--short-iters"),
+        (["--kmax", "2", "--max-iters", "-1"], "--max-iters"),
+        (["--ladder", "0,1"], "--ladder"),
+        ([], "--kmax"),
+    ])
+    def test_bad_count_flag_is_a_usage_error(self, planted_setup, tmp_path, flags,
+                                             named, capsys):
+        _, corpus_path = planted_setup
+        code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
+                        *flags])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_bad_epsilon_flag(self, planted_setup, tmp_path):
         _, corpus_path = planted_setup
         code = cli.run(["sweep", str(corpus_path), "--out",

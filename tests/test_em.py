@@ -613,6 +613,26 @@ class TestLockstep:
         assert str(info.value) == "non-finite log-likelihood nan (iteration 5)"
 
 
+class TestBlockStop:
+    def test_block_stops_when_its_last_model_stalls(self):
+        corpus = random_corpus(60, 24, 80, seed=5)
+        eps = default_floor(corpus.total_tokens)
+        seeds = [40, 42]
+        pi, log_f = em._random_init_block(corpus, 3, seeds, eps, 1.0)
+        alone = [em._em_loop(corpus, pi[s:s + 1], log_f[3 * s:3 * s + 3], eps,
+                             [seed], 500, 1e-6)[0]
+                 for s, seed in enumerate(seeds)]
+        # alone, the two starts stall at different iterations
+        assert len(alone[0].loglik_trace) < len(alone[1].loglik_trace)
+        block = em._em_loop(corpus, pi, log_f, eps, seeds, 500, 1e-6)
+        for fit, solo in zip(block, alone):
+            assert len(fit.loglik_trace) == len(alone[1].loglik_trace)
+            assert fit.loglik_trace[:len(solo.loglik_trace)] == solo.loglik_trace
+            assert fit.converged
+        assert np.array_equal(block[1].model.log_f, alone[1].model.log_f)
+        assert block[1].eta_effective == alone[1].eta_effective
+
+
 class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_starts", 0),

@@ -1,9 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment
 
 from docmix.em import EmConfig, run_em, water_fill_project
 from docmix.errors import OracleInfeasibleError
@@ -15,7 +15,6 @@ from docmix.synth import (
     brute_force_loglik,
     evaluate_run,
     generate_corpus,
-    label_agreement,
     planted_mixture,
 )
 
@@ -148,17 +147,19 @@ class TestMatching:
         k_fit = int(rng.integers(2, 5))
         true = rng.integers(0, k_true, size=30)
         fitted = rng.integers(0, k_fit, size=30)
-        matched, _ = _best_matching(true, fitted, k_true, k_fit)
+        matched, pairs = _best_matching(true, fitted, k_true, k_fit)
         table = np.zeros((k_true, k_fit), dtype=np.int64)
         for t, f in zip(true, fitted):
             table[t, f] += 1
-        rows, cols = linear_sum_assignment(table, maximize=True)
-        assert matched == int(table[rows, cols].sum())
-
-    def test_label_agreement_helper(self):
-        true = np.array([0, 0, 1, 1])
-        fitted = np.array([1, 1, 0, 0])
-        assert label_agreement(true, fitted, 2, 2) == 1.0
+        # reference: every injection of the smaller label set into the larger
+        tall = table if k_fit <= k_true else table.T
+        exhaustive = max(sum(tall[perm[j], j] for j in range(tall.shape[1]))
+                         for perm in itertools.permutations(range(tall.shape[0]),
+                                                            tall.shape[1]))
+        assert matched == exhaustive
+        assert len(pairs) == min(k_true, k_fit)
+        assert len({t for t, _ in pairs}) == len({f for _, f in pairs}) == len(pairs)
+        assert sum(table[t, f] for t, f in pairs) == matched
 
 
 class TestEvaluateRun:
