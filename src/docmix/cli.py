@@ -150,41 +150,28 @@ def cmd_report(corpus_path, model_path, out_dir, metadata_path=None,
     report = build_topic_report(corpus, model, years, top_m)
 
     os.makedirs(out_dir, exist_ok=True)
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["cluster", "rank", "word", "probability"])
-    for k, words in enumerate(report.top_words):
-        for rank, (word, prob) in enumerate(words, start=1):
-            writer.writerow([k, rank, word, repr(prob)])
-    atomic_write_text(os.path.join(out_dir, "topwords.csv"), buffer.getvalue())
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["cluster", "weight"])
-    for k, weight in enumerate(report.cluster_weights):
-        writer.writerow([k, repr(weight)])
-    atomic_write_text(os.path.join(out_dir, "clusters.csv"), buffer.getvalue())
-
+    _write_csv(os.path.join(out_dir, "topwords.csv"), ["cluster", "rank", "word", "probability"],
+               ([k, rank, word, repr(prob)] for k, words in enumerate(report.top_words)
+                for rank, (word, prob) in enumerate(words, start=1)))
+    _write_csv(os.path.join(out_dir, "clusters.csv"), ["cluster", "weight"],
+               ([k, repr(weight)] for k, weight in enumerate(report.cluster_weights)))
     labels = map_assign(corpus, model).labels
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["doc_id", "cluster"])
-    for doc_id, label in zip(corpus.doc_ids, labels.tolist()):
-        writer.writerow([doc_id, label])
-    atomic_write_text(os.path.join(out_dir, "assignments.csv"), buffer.getvalue())
-
+    _write_csv(os.path.join(out_dir, "assignments.csv"), ["doc_id", "cluster"],
+               zip(corpus.doc_ids, labels.tolist()))
     if report.yearly is not None:
-        buffer = io.StringIO()
-        buffer.write("# per-year mean of per-document posteriors;"
-                     " documents are unweighted by length\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["year", "cluster", "mean_posterior"])
-        for year, means in report.yearly:
-            for k, mean in enumerate(means):
-                writer.writerow([year, k, repr(mean)])
-        atomic_write_text(os.path.join(out_dir, "evolution.csv"), buffer.getvalue())
+        _write_csv(os.path.join(out_dir, "evolution.csv"), ["year", "cluster", "mean_posterior"],
+                   ([year, k, repr(mean)] for year, means in report.yearly
+                    for k, mean in enumerate(means)),
+                   preamble="# per-year mean of per-document posteriors;"
+                            " documents are unweighted by length\n")
     return report
+
+
+def _write_csv(path, header: list[str], rows, preamble: str = "") -> None:
+    buffer = io.StringIO()
+    buffer.write(preamble)
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    atomic_write_text(path, buffer.getvalue())
 
 
 def _require(config: dict, key: str, kind, where: str = ""):
@@ -282,13 +269,9 @@ def cmd_synth(config_path, out_dir, threads: int = 1) -> list[dict]:
             "risk": float(evaluation.risk),
             "agreement": float(evaluation.agreement),
         })
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["seed", "K_hat", "risk", "agreement"])
-    for row in rows:
-        writer.writerow([row["seed"], row["K_hat"],
-                         repr(row["risk"]), repr(row["agreement"])])
-    atomic_write_text(os.path.join(out_dir, "summary.csv"), buffer.getvalue())
+    _write_csv(os.path.join(out_dir, "summary.csv"), ["seed", "K_hat", "risk", "agreement"],
+               ([row["seed"], row["K_hat"], repr(row["risk"]), repr(row["agreement"])]
+                for row in rows))
     return rows
 
 

@@ -21,8 +21,9 @@ import csv
 import json
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import EmptyVocabularyError, FormatError, ParseError
 
 CORPUS_FORMAT = "docmix.corpus"
 CORPUS_VERSION = 1
+_BATCH_LINES = 1 << 16  # docword lines per np.loadtxt call: bounds the text held as str
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
@@ -185,9 +187,9 @@ class Corpus:
 def parse_bag_of_words(docword_lines: Iterable[str], vocab_lines: Iterable[str]) -> Corpus:
     """Parse UCI-style docword and vocab streams into a corpus.
 
-    Documents that own no triples are omitted, so the result may have
-    fewer documents than the header's D. Counts for repeated (doc, word)
-    triples accumulate.
+    Each item of ``docword_lines`` is one line; README "Formats" gives the
+    grammar and the error the first bad line raises. Documents that own no
+    triples are omitted; repeated (doc, word) triples add their counts.
     """
     lines = iter(docword_lines)
     header: list[int] = []
@@ -207,34 +209,24 @@ def parse_bag_of_words(docword_lines: Iterable[str], vocab_lines: Iterable[str])
         header.append(value)
     num_docs, num_words, num_triples = header
 
-    docs_by_id: dict[int, dict[int, int]] = {}
-    seen = 0
-    for line in lines:
-        lineno += 1
-        text = line.strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'docID wordID count', got {text!r}", line=lineno)
-        try:
-            doc_id, word_id, count = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"non-integer triple {text!r}", line=lineno) from None
-        seen += 1
-        if seen > num_triples:
-            raise ParseError(f"more than the declared {num_triples} triples", line=lineno)
-        if not 1 <= doc_id <= num_docs:
-            raise IndexError(f"line {lineno}: doc id {doc_id} out of range 1..{num_docs}")
-        if not 1 <= word_id <= num_words:
-            raise IndexError(f"line {lineno}: word id {word_id} out of range 1..{num_words}")
-        if not 0 < count < 2**53:
-            raise ValueError(f"line {lineno}: count must be positive and below 2**53, got {count}")
-        doc = docs_by_id.setdefault(doc_id, {})
-        index = word_id - 1
-        doc[index] = doc.get(index, 0) + count
-    if seen < num_triples:
-        raise ParseError(f"declared {num_triples} triples but found {seen}", line=lineno)
+    chunks = [np.empty((0, 3), dtype=np.int64)]
+    num_rows = 0
+    while batch := list(islice(lines, _BATCH_LINES)):
+        rows = _load_triples(batch)
+        malformed = None
+        if rows is None:  # the first line whose prefix is rejected, by bisection
+            malformed = bisect_left(range(len(batch)), True,
+                                    key=lambda end: _load_triples(batch[:end + 1]) is None)
+            rows = _load_triples(batch[:malformed])
+        _check_triples(rows, num_rows, header, batch, lineno + 1)
+        if malformed is not None:
+            raise ParseError(f"expected 'docID wordID count' as three integers, "
+                             f"got {batch[malformed].strip()!r}", line=lineno + 1 + malformed)
+        chunks.append(rows)
+        num_rows += len(rows)
+        lineno += len(batch)
+    if num_rows < num_triples:
+        raise ParseError(f"declared {num_triples} triples but found {num_rows}", line=lineno)
 
     tokens = []
     for vocab_lineno, line in enumerate(vocab_lines, start=1):
@@ -247,12 +239,52 @@ def parse_bag_of_words(docword_lines: Iterable[str], vocab_lines: Iterable[str])
             f"vocabulary has {len(tokens)} tokens but the docword header declares {num_words}"
         )
 
-    doc_ids = sorted(docs_by_id)
-    return Corpus.from_docs(
-        vocab=Vocabulary(tuple(tokens)),
-        docs=[docs_by_id[i] for i in doc_ids],
-        doc_ids=doc_ids,
-    )
+    doc, word, count = np.concatenate(chunks).T
+    # rows are the documents that own triples; the header's D may be far larger
+    doc_ids, doc_rows = np.unique(doc, return_inverse=True)
+    # tocsr sums repeated (doc, word) triples in int64; Corpus casts to float64
+    counts = sparse.coo_matrix((count, (doc_rows, word - 1)),
+                               shape=(doc_ids.size, num_words)).tocsr()
+    return Corpus(vocab=Vocabulary(tuple(tokens)), counts=counts, doc_ids=doc_ids.tolist())
+
+
+def _load_triples(lines: list[str]) -> np.ndarray | None:
+    """Non-blank ``lines`` as n x 3 int64 rows; None unless each is three ASCII integers."""
+    # np.loadtxt reads some non-ASCII letters as digits; Unicode whitespace is fine
+    if not all(map(str.isascii, lines)) and not all(
+            "".join(line.split()).isascii() for line in lines):
+        return None
+    if not any(map(str.strip, lines)):
+        return np.empty((0, 3), dtype=np.int64)
+    try:
+        rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == 3 else None
+
+
+def _check_triples(rows: np.ndarray, first_row: int, header: list[int],
+                   lines: list[str], first_line: int) -> None:
+    """Raise for the first bad one of ``rows``: row ``first_row`` on, from line ``first_line``."""
+    num_docs, num_words, num_triples = header
+    doc, word, count = rows.T
+    bad = (doc < 1) | (doc > num_docs) | (word < 1) | (word > num_words) | (count < 1) \
+        | (count >= 2**53)
+    bad[num_triples - first_row:] = True  # rows beyond the declared count
+    if not bad.any():
+        return
+    row = int(bad.argmax())
+    # np.loadtxt skips blank lines, so row r is the r-th non-blank line
+    nonblank = (i for i, text in enumerate(lines) if text.strip())
+    line = first_line + next(islice(nonblank, row, None))
+    doc_id, word_id, value = rows[row].tolist()
+    if first_row + row >= num_triples:
+        raise ParseError(f"more than the declared {num_triples} triples", line=line)
+    if not 1 <= doc_id <= num_docs:
+        raise IndexError(f"line {line}: doc id {doc_id} out of range 1..{num_docs}")
+    if not 1 <= word_id <= num_words:
+        raise IndexError(f"line {line}: word id {word_id} out of range 1..{num_words}")
+    raise ValueError(f"line {line}: count must be positive and below 2**53, got {value}")
 
 
 def dump_bag_of_words(corpus: Corpus) -> tuple[str, str]:
@@ -396,20 +428,23 @@ def load_year_sidecar(source: str | os.PathLike | IO[str]) -> dict[int, int]:
 
 def _parse_year_rows(handle: IO[str]) -> dict[int, int]:
     reader = csv.reader(handle)
-    header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header] != ["doc_id", "year"]:
-        raise ParseError("expected header 'doc_id,year'", line=1)
-    years: dict[int, int] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected two columns, got {len(row)}", line=lineno)
-        try:
-            doc_id, year = int(row[0]), int(row[1])
-        except ValueError:
-            raise ParseError(f"non-integer row {row!r}", line=lineno) from None
-        if doc_id in years:
-            raise ParseError(f"duplicate doc_id {doc_id}", line=lineno)
-        years[doc_id] = year
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header] != ["doc_id", "year"]:
+            raise ParseError("expected header 'doc_id,year'", line=1)
+        years: dict[int, int] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(f"expected two columns, got {len(row)}", line=lineno)
+            try:
+                doc_id, year = int(row[0]), int(row[1])
+            except ValueError:
+                raise ParseError(f"non-integer row {row!r}", line=lineno) from None
+            if doc_id in years:
+                raise ParseError(f"duplicate doc_id {doc_id}", line=lineno)
+            years[doc_id] = year
+    except csv.Error as exc:  # e.g. a bare carriage return when not opened with newline=""
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
     return years

@@ -92,12 +92,9 @@ class EmConfig:
     annihilation: str = "threshold"
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ConfigError("must be >= 1", field="n_starts")
-        if self.short_iters < 1:
-            raise ConfigError("must be >= 1", field="short_iters")
-        if self.max_iters < 1:
-            raise ConfigError("must be >= 1", field="max_iters")
+        for name in ("n_starts", "short_iters", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ConfigError("must be >= 1", field=name)
         if not self.rel_tol > 0:
             raise ConfigError("must be > 0", field="rel_tol")
         if not self.annihilation_divisor > 1:

@@ -167,10 +167,12 @@ def slope_heuristics(points, plateau_tol: float = 0.05,
     contrasts = np.asarray([p[1] for p in pts], dtype=np.float64)
     if len(pts) and np.all(dims == dims[0]):
         raise DegenerateRegressionError("all sweep points share one dimension")
-    if len(set(dims.tolist())) < 4:
+    distinct = sorted(set(dims.tolist()))
+    if len(distinct) < 4:
         raise InsufficientDataError(
-            f"need at least 4 distinct dimensions, got {len(set(dims.tolist()))}"
-        )
+            f"slope heuristics need at least 4 distinct dimensions, got {len(distinct)} (D_K = "
+            f"{', '.join(f'{d:g}' for d in distinct)}); use --mode aic|bic|theoretical "
+            "or a wider ladder")
 
     sizes = list(range(min_window, len(pts) + 1))
     slopes = [_ols_slope(dims[-w:], contrasts[-w:]) for w in sizes]

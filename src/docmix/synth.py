@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment
 
 from .corpus import Corpus, Vocabulary
 from .em import FitResult
@@ -141,6 +139,7 @@ def brute_force_loglik(corpus: Corpus, model: MixtureModel) -> float:
     path. Infeasible when any document is long enough that the product
     could leave the supported range.
     """
+    import mpmath  # imported here so the CLI starts without it
     tau = model.tau
     if max(corpus.doc_lengths) * tau > ORACLE_MAX_LOG_RANGE:
         raise OracleInfeasibleError(
@@ -178,6 +177,7 @@ class EvalReport:
 
 def _best_matching(true_labels: np.ndarray, fit_labels: np.ndarray,
                    k_true: int, k_fit: int) -> tuple[int, list[tuple[int, int]]]:
+    from scipy.optimize import linear_sum_assignment  # keeps scipy.optimize out of CLI start-up
     table = np.zeros((k_true, k_fit), dtype=np.int64)
     for t, f in zip(true_labels, fit_labels):
         table[t, f] += 1

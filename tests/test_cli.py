@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,16 @@ def planted_setup(tmp_path):
     corpus_path = tmp_path / "corpus.json"
     save_corpus(planted.corpus, corpus_path)
     return planted, corpus_path
+
+
+def test_cli_starts_without_oracle_and_matching_imports():
+    # scipy.optimize and mpmath serve only label matching and the 50-digit oracle
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import docmix.cli, sys; "
+            "print([m for m in ('scipy.optimize', 'mpmath') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestIngest:
@@ -366,6 +379,14 @@ class TestSynth:
         path = synth_config(tmp_path, em={"bogus_knob": 1})
         assert cli.run(["synth", str(path), "--out-dir",
                         str(tmp_path / "o")]) == 2
+
+    def test_slope_mode_names_dimensions_and_way_out(self, tmp_path, capsys):
+        # MML rungs of the 1..4 ladder collapse onto two realized dimensions
+        path = synth_config(tmp_path, seeds=[0], em={"n_starts": 4, "annihilation": "mml"})
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"at least 4 distinct dimensions, got 2 \(D_K = \d+, \d+\)", err)
+        assert "use --mode aic|bic|theoretical or a wider ladder" in err
 
     def test_annihilation_rule_reaches_em(self, tmp_path):
         # bic mode: MML rungs collapse onto fewer realized K than the

@@ -1,10 +1,12 @@
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import docmix.corpus
 from docmix.corpus import (
     Corpus,
     Vocabulary,
@@ -72,6 +74,149 @@ class TestParse:
     def test_triple_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_bag_of_words("1\n2\n2\n1 1 1\n".splitlines(), "a\nb\n".splitlines())
+
+    def test_bad_line_after_blank_line(self):
+        # np.loadtxt does not count blank lines, so its row 1 is line 6 here
+        with pytest.raises(ParseError) as err:
+            parse_bag_of_words("1\n2\n2\n1 1 1\n\n1 x 1\n".splitlines(), "a\nb\n".splitlines())
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", str(2**63)])
+    def test_int_spellings_beyond_ascii_int64_are_parse_errors(self, token):
+        # int() accepts these; the grammar is ASCII decimal within int64
+        with pytest.raises(ParseError) as err:
+            parse_bag_of_words(f"1\n2\n1\n{token} 1 1\n".splitlines(), "a\nb\n".splitlines())
+        assert err.value.line == 4
+
+    def test_line_break_inside_an_item_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_bag_of_words(["1", "2", "1", "1 1\r1"], ["a", "b"])
+        assert err.value.line == 4
+
+    def test_non_ascii_letters_are_not_digits(self):
+        # np.loadtxt alone would read "5\u2660" as the integer 9826
+        with pytest.raises(ParseError) as err:
+            parse_bag_of_words("9999\n2\n1\n5\u2660 1 1\n".splitlines(), "a\nb\n".splitlines())
+        assert err.value.line == 4
+
+
+def _reference_parse(docword_lines, vocab_lines) -> Corpus:
+    """The per-line parser that ``parse_bag_of_words`` replaced, kept as the
+    reference it must agree with."""
+    lines = iter(docword_lines)
+    header: list[int] = []
+    lineno = 0
+    while len(header) < 3:
+        line = next(lines, None)
+        lineno += 1
+        if line is None:
+            raise ParseError("unexpected end of stream while reading header", line=lineno)
+        text = line.strip()
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParseError(f"expected an integer header value, got {text!r}", line=lineno) from None
+        if value < 0:
+            raise ParseError(f"header value must be nonnegative, got {value}", line=lineno)
+        header.append(value)
+    num_docs, num_words, num_triples = header
+
+    docs_by_id: dict[int, dict[int, int]] = {}
+    seen = 0
+    for line in lines:
+        lineno += 1
+        text = line.strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'docID wordID count', got {text!r}", line=lineno)
+        try:
+            doc_id, word_id, count = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError(f"non-integer triple {text!r}", line=lineno) from None
+        seen += 1
+        if seen > num_triples:
+            raise ParseError(f"more than the declared {num_triples} triples", line=lineno)
+        if not 1 <= doc_id <= num_docs:
+            raise IndexError(f"line {lineno}: doc id {doc_id} out of range 1..{num_docs}")
+        if not 1 <= word_id <= num_words:
+            raise IndexError(f"line {lineno}: word id {word_id} out of range 1..{num_words}")
+        if not 0 < count < 2**53:
+            raise ValueError(f"line {lineno}: count must be positive and below 2**53, got {count}")
+        doc = docs_by_id.setdefault(doc_id, {})
+        index = word_id - 1
+        doc[index] = doc.get(index, 0) + count
+    if seen < num_triples:
+        raise ParseError(f"declared {num_triples} triples but found {seen}", line=lineno)
+
+    tokens = []
+    for vocab_lineno, line in enumerate(vocab_lines, start=1):
+        token = line.strip()
+        if not token:
+            raise ParseError("empty vocabulary token", line=vocab_lineno)
+        tokens.append(token)
+    if len(tokens) != num_words:
+        raise ParseError(
+            f"vocabulary has {len(tokens)} tokens but the docword header declares {num_words}"
+        )
+
+    doc_ids = sorted(docs_by_id)
+    return Corpus.from_docs(
+        vocab=Vocabulary(tuple(tokens)),
+        docs=[docs_by_id[i] for i in doc_ids],
+        doc_ids=doc_ids,
+    )
+
+
+def _parse_outcome(parse, docword, vocab):
+    """What a parser makes of the streams: the corpus as bytes, or the
+    error's type with its line (ParseError) or message (the others)."""
+    try:
+        corpus = parse(docword, vocab)
+    except ParseError as exc:
+        return ParseError, exc.line
+    except (IndexError, ValueError) as exc:
+        return type(exc), str(exc)
+    matrix = corpus.csr()
+    return (corpus.doc_ids, corpus.vocab.words,
+            *((a.dtype.str, a.tobytes()) for a in (matrix.indptr, matrix.indices, matrix.data)))
+
+
+_ids = st.integers(-1, 5)
+_counts = st.integers(1, 9) | st.sampled_from([-1, 0, 2**53 - 1, 2**53])
+_gaps = st.sampled_from([" ", "\t", "  ", " \t ", "\xa0"])
+_triple_lines = st.builds(
+    lambda doc, word, count, gap, pad: pad + gap.join(map(str, (doc, word, count))) + pad,
+    _ids, _ids, _counts, _gaps, st.sampled_from(["", " ", "\t"]),
+)
+_docword_body_lines = st.lists(
+    _triple_lines
+    | st.sampled_from(["", " ", "\t", " \t  ", "1 1", "1 1 1 1", "1 x 1", "1 1.5 1", "+ 1 1",
+                       "1 1 0x1", "\u00e9 1 1", "1 1 1 #"])
+    | st.text("0123456789 -+x\t", max_size=8),
+    max_size=12,
+)
+
+
+@given(num_docs=st.integers(0, 4), num_words=st.integers(1, 4),
+       body=_docword_body_lines, surplus=st.integers(-2, 2),
+       extra_vocab=st.booleans(), newlines=st.booleans(), batch=st.integers(1, 4))
+@example(num_docs=1, num_words=2, body=["5 1 1"], surplus=1, extra_vocab=False,
+         newlines=False, batch=4)  # the surplus triple is reported before its range
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_reference(num_docs, num_words, body, surplus, extra_vocab,
+                                 newlines, batch):
+    # the header declares ``surplus`` fewer triples than the body holds
+    declared = max(0, sum(1 for line in body if line.strip()) - surplus)
+    docword = [str(num_docs), str(num_words), str(declared), *body]
+    vocab = [f"t{b}" for b in range(num_words + extra_vocab)]
+    if newlines:  # file lines end in a newline, splitlines() items do not
+        docword = [line + "\n" for line in docword]
+    expected = _parse_outcome(_reference_parse, docword, vocab)
+    # small batches put batch boundaries between the few lines drawn here
+    with mock.patch.object(docmix.corpus, "_BATCH_LINES", batch):
+        assert _parse_outcome(parse_bag_of_words, docword, vocab) == expected
 
 
 @st.composite

@@ -7,11 +7,19 @@ with some nodes replaced by arbitrary JSON, and lines of text over each
 format's alphabet.
 """
 
+import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from docmix.corpus import Corpus, Vocabulary, dumps_corpus, loads_corpus, parse_bag_of_words
+from docmix.corpus import (
+    Corpus,
+    Vocabulary,
+    dumps_corpus,
+    load_year_sidecar,
+    loads_corpus,
+    parse_bag_of_words,
+)
 from docmix.errors import DocmixError
 from docmix.mixture import dumps_model, loads_model
 from docmix.selection import SweepEntry, SweepResult, sweep_from_csv, sweep_to_csv
@@ -109,3 +117,19 @@ sweep_rows = st.lists(
 @EXAMPLES
 def test_sweep_from_csv(text):
     reads_or_rejects(sweep_from_csv, text)
+
+
+year_fields = st.text('0123456789,"-+ x\t\r\n\x00', max_size=8)
+year_rows = st.builds(
+    lambda header, rows: "\n".join([header, *rows]),
+    st.just("doc_id,year") | year_fields,
+    st.lists(st.sampled_from(["1,1987", "2,2015", ""]) | year_fields, max_size=5),
+)
+
+
+@given(year_rows, st.sampled_from(["", "\n"]))
+@example("doc_id,year\n1,19\r87", "\n")
+@EXAMPLES
+def test_load_year_sidecar(text, newline):
+    # newline="" is how the CLI opens the file; "\n" is io.StringIO's default
+    reads_or_rejects(load_year_sidecar, io.StringIO(text, newline=newline))
