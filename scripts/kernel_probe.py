@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Time the numpy and scipy kernels under the EM loop on a NIPS-shaped corpus.
+
+Re-checks, after a numpy or scipy upgrade or on a new machine, the costs
+that the E- and M-step kernels in src/docmix are built around:
+
+- np.exp per element when its outputs are normal, +0.0 (inputs below
+  about -745.13) or subnormal; _exp_in_place skips the +0.0 ones;
+- X.T @ resp on real responsibilities, with their subnormals, with them
+  flushed to 0, and scaled by 2**64 as _m_step_block computes it;
+- the speed-up of two threads running a kernel at once over one thread
+  running it twice, which bounds what a thread pool over starts or
+  rungs can gain from each kernel.
+
+The corpus is nips-sweep's (L=5804, B=300, 20 planted topics,
+concentration 0.1, lengths 100-900); the responsibilities come from a
+K=20 block of two starts after four EM iterations.
+
+    PYTHONPATH=src python scripts/kernel_probe.py
+"""
+
+import threading
+import time
+
+import numpy as np
+
+from docmix import em, generate_corpus, mixture, planted_mixture
+
+REPEATS = 20
+
+
+def best_ms(op, setup=lambda: None, repeats=REPEATS) -> float:
+    """Fastest of ``repeats`` timed calls of op(setup()), in milliseconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        arg = setup()
+        start = time.perf_counter()
+        op(arg)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def two_thread_speedup(op, seconds=1.0, trials=3) -> float:
+    """Time of 2n calls on one thread over the same calls split across two
+    threads that run at once, n chosen so the single thread takes about
+    ``seconds``; the median of ``trials`` such ratios."""
+    start = time.perf_counter()
+    op()
+    calls = max(REPEATS, int(seconds / 2 / (time.perf_counter() - start)))
+    barrier = threading.Barrier(2)
+
+    def worker():
+        barrier.wait()
+        for _ in range(calls):
+            op()
+
+    ratios = []
+    for _ in range(trials):
+        start = time.perf_counter()
+        for _ in range(2 * calls):
+            op()
+        alone = time.perf_counter() - start
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        start = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        ratios.append(alone / (time.perf_counter() - start))
+    return sorted(ratios)[trials // 2]
+
+
+def main():
+    mix = planted_mixture(20, 300, seed=np.random.SeedSequence((0, 1)), concentration=0.1)
+    corpus = generate_corpus(mix, 5804, (100, 900), seed=np.random.SeedSequence((0, 2))).corpus
+    counts = corpus.csr()
+    epsilon = mixture.default_floor(corpus.total_tokens)
+    pi, log_f = em._random_init_block(corpus, 20, [0, 1], epsilon, 1.0)
+    pi, runs = pi.ravel(), em._runs([20, 20])
+    for _ in range(4):
+        resp, _ = em._e_step_block(counts, pi, log_f, runs)
+        pi, log_f = em._m_step_block(counts, resp, runs, epsilon, 0.0)
+    resp, _ = em._e_step_block(counts, pi, log_f, runs)
+    print(f"corpus: L={corpus.num_docs}, B={corpus.num_words}, nnz={counts.nnz}; "
+          f"block of 2 starts at K=20, resp {resp.shape}")
+
+    size = resp.size
+    rng = np.random.default_rng(0)
+    print(f"\nnp.exp, ns per element ({size} elements, best of {REPEATS}):")
+    for label, low, high in [("normal output", -700.0, 0.0),
+                             ("+0.0 output", -2000.0, -746.0),
+                             ("subnormal output", -745.0, -709.0)]:
+        values = rng.uniform(low, high, size)
+        ms = best_ms(lambda a: np.exp(a, out=a), values.copy)
+        print(f"  {label:17s} {ms * 1e6 / size:8.2f}")
+
+    subnormal = (resp > 0) & (resp < np.finfo(np.float64).smallest_normal)
+    print(f"\nX.T @ resp, ms (zeros {np.mean(resp == 0):.1%}, "
+          f"subnormal {np.mean(subnormal):.2%} of entries):")
+    flushed = np.where(subnormal, 0.0, resp)
+    scaled = resp * em._RESP_SCALE
+    print(f"  as is            {best_ms(lambda r: counts.T.dot(r), lambda: resp):8.2f}")
+    print(f"  subnormals -> 0  {best_ms(lambda r: counts.T.dot(r), lambda: flushed):8.2f}")
+    print(f"  scaled by 2**64  {best_ms(lambda r: counts.T.dot(r), lambda: scaled):8.2f}")
+
+    print("\ntwo threads over one (2.0 = perfect):")
+    scores = counts @ log_f.T
+    for label, op in [("X @ log_f.T", lambda: counts @ log_f.T),
+                      ("X.T @ resp", lambda: counts.T.dot(scaled)),
+                      ("np.exp", lambda: np.exp(scores))]:
+        print(f"  {label:17s} {two_thread_speedup(op):8.2f}x")
+
+
+if __name__ == "__main__":
+    main()

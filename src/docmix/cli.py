@@ -13,7 +13,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -178,12 +178,20 @@ def _require(config: dict, key: str, kind, where: str = ""):
     if key not in config:
         raise ConfigError("missing", field=where + key)
     value = config[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    allowed = (int, float) if kind is float else kind  # a JSON integer is a float too
+    if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}",
                           field=where + key)
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError("out of range for a float", field=where + key) from None
     return value
+
+
+def _optional(config: dict, key: str, kind, default):
+    return _require(config, key, kind) if key in config else default
 
 
 def load_synth_config(path) -> dict:
@@ -201,11 +209,15 @@ def load_synth_config(path) -> dict:
         "num_words": _require(config, "num_words", int),
         "num_docs": _require(config, "num_docs", int),
         "seeds": _require(config, "seeds", list),
-        "min_pairwise_kl": float(config.get("min_pairwise_kl", 0.0)),
+        "min_pairwise_kl": _optional(config, "min_pairwise_kl", float, 0.0),
         "mode": config.get("mode", "slope"),
-        "concentration": float(config.get("concentration", 1.0)),
-        "epsilon": config.get("epsilon"),
+        "concentration": _optional(config, "concentration", float, 1.0),
+        "epsilon": None,
     }
+    if config.get("epsilon") is not None:
+        out["epsilon"] = _require(config, "epsilon", float)
+        if not 0 < out["epsilon"] < 1:
+            raise ConfigError("must be null or in (0, 1)", field="epsilon")
     length_range = _require(config, "length_range", list)
     if (len(length_range) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in length_range)):
@@ -229,6 +241,10 @@ def load_synth_config(path) -> dict:
     em_overrides = config.get("em", {})
     if not isinstance(em_overrides, dict):
         raise ConfigError("expected an object of EmConfig overrides", field="em")
+    for known in fields(EmConfig):
+        if known.name in em_overrides:
+            em_overrides[known.name] = _require(em_overrides, known.name,
+                                                type(known.default), where="em.")
     try:
         out["em"] = EmConfig(**em_overrides)
     except TypeError as exc:

@@ -24,6 +24,14 @@ result. A group that fails reruns its starts one by one, so the error a
 rung raises is always that of its lowest failing seed, at that start's
 own iteration.
 
+The kernels keep off two underflow slow paths, with results bit for
+bit those of the plain kernels. On long documents the posteriors are
+nearly one-hot, so most shifted scores lie far below -745, where np.exp
+reaches +0.0 through a slow path; both E-step exps skip those inputs
+(mixture._exp_in_place). And the few subnormal
+responsibilities would slow every multiply of X.T @ resp that reads
+them, so the M-step scales them by 2**64 first (_m_step_block).
+
 Two annihilation rules exist:
 
 - "threshold" (default): between EM runs, delete every component whose
@@ -68,6 +76,7 @@ from .errors import (
 )
 from .mixture import (  # score_matrix is also reached as docmix.em.score_matrix
     MixtureModel,
+    _exp_in_place,
     _log_sum_exp,
     _scores,
     _validate_block,
@@ -182,6 +191,9 @@ def _water_fill_rows(weights, epsilon: float) -> np.ndarray:
 # Bytes of the sorted copy the E-step makes of one slice of documents.
 _SORT_BYTES = 1 << 18
 
+# The M-step's product runs on responsibilities times this power of two.
+_RESP_SCALE = 2.0 ** 64
+
 # A block stacks S models: weights pi (N,) and log densities log_f (N, B),
 # model after model, N the sum of their component counts. ``runs`` lists
 # (K, count) for each stretch of consecutive models with K components.
@@ -217,7 +229,7 @@ def _e_step_block(counts, pi: np.ndarray, log_f: np.ndarray,
             part = view[top:top + step]
             dens = _log_sum_exp(part)
             part -= dens[:, :, None]
-            np.exp(part, out=part)
+            _exp_in_place(part)
             log_density[row:row + n, top:top + step] = dens.T
         col, row = col + n * k, row + n
     return scores, np.add.reduce(log_density, axis=1)
@@ -225,7 +237,19 @@ def _e_step_block(counts, pi: np.ndarray, log_f: np.ndarray,
 
 def _m_step_block(counts, resp: np.ndarray, runs, epsilon: float,
                   weight_offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """m_step for every model of a block: weights (N,), log densities (N, B)."""
+    """m_step for every model of a block: weights (N,), log densities (N, B).
+    Overwrites ``resp``.
+
+    Nearly one-hot posteriors leave some responsibilities subnormal, and
+    a multiply with a subnormal operand takes the CPU's slow path, in
+    X.T @ resp once per nonzero of the document's row. So the product
+    runs on resp * 2**64, where none is subnormal, and is scaled back.
+    That is exact: counts are whole numbers and resp >= 0, so every
+    product and partial sum is exactly 2**64 times the unscaled one.
+    Each is either normal, rounded at the same relative precision, or a
+    multiple of 2**-1074 below 2**-1022, which is an exact subnormal
+    unscaled.
+    """
     num_words = counts.shape[1]
     col_mass = resp.sum(axis=0)
     if weight_offset:
@@ -241,7 +265,9 @@ def _m_step_block(counts, resp: np.ndarray, runs, epsilon: float,
             )
         pi[col:col + n * k] = (mass / mass.sum(axis=1)[:, None]).ravel()
         col += n * k
+    resp *= _RESP_SCALE
     weighted_counts = counts.T.dot(resp)
+    weighted_counts *= 1 / _RESP_SCALE
     live = col_mass > 0
     pi[~live] = 0.0
     log_f = np.full((resp.shape[1], num_words), -np.log(num_words))
@@ -274,6 +300,7 @@ def m_step(corpus: Corpus, resp: np.ndarray, epsilon: float,
     log-likelihood minus (N/2) sum_k log pi_k. A component with no mass
     gets weight 0 and the uniform density.
     """
+    resp = np.array(resp, dtype=np.float64)  # a copy: the kernel scales it in place
     pi, log_f = _m_step_block(corpus.csr(), resp, [(resp.shape[1], 1)], epsilon,
                               weight_offset)
     return MixtureModel(pi=pi, log_f=log_f, epsilon=epsilon)

@@ -358,13 +358,17 @@ def sweep_to_csv(sweep: SweepResult) -> str:
 
 def sweep_from_csv(text: str) -> SweepResult:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a bare carriage return, or a field over csv's size limit
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    header = rows[0] if rows else None
     if header is None or [h.strip() for h in header] != SWEEP_CSV_HEADER:
         raise FormatError(
             f"expected header {','.join(SWEEP_CSV_HEADER)!r}, got {header!r}"
         )
     entries = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 3:

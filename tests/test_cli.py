@@ -216,6 +216,18 @@ class TestSweepSelect:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["K,D_K,min_contrast\n1,2\r0,3.5\n",
+                                      "K,D_K,min_contrast\n" + "9" * 200_000 + ",2,3.5\n"],
+                             ids=["bare-cr", "huge-field"])
+    def test_malformed_sweep_csv_is_data_error(self, tmp_path, capsys, text):
+        sweep_path = tmp_path / "sweep.csv"
+        sweep_path.write_bytes(text.encode())
+        code = cli.run(["select", str(sweep_path), "--out", str(tmp_path / "r.json"),
+                        "--mode", "bic", "--tokens", "1000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
 
 class TestUsageErrors:
     def test_no_subcommand(self):
@@ -379,6 +391,17 @@ class TestSynth:
         path = synth_config(tmp_path, em={"bogus_knob": 1})
         assert cli.run(["synth", str(path), "--out-dir",
                         str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("min_pairwise_kl", [1]), ("concentration", None), ("min_pairwise_kl", 10**400),
+        ("epsilon", "x"), ("epsilon", 1.5), ("em", {"annihilation_divisor": 10**400}),
+        ("em", {"n_starts": 2.5}),
+    ], ids=["kl-list", "concentration-null", "kl-overflow", "epsilon-text", "epsilon-range",
+            "em-divisor-overflow", "em-starts-float"])
+    def test_bad_number_is_config_error(self, tmp_path, capsys, field, value):
+        path = synth_config(tmp_path, **{field: value})
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config field '{field}")
 
     def test_slope_mode_names_dimensions_and_way_out(self, tmp_path, capsys):
         # MML rungs of the 1..4 ladder collapse onto two realized dimensions

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import docmix as dm
 import docmix.em as em
+import docmix.mixture as mixture
 from docmix.em import (
     EmConfig,
     _annihilate,
@@ -224,6 +225,81 @@ class TestSteps:
         updated = m_step(tiny_corpus, resp, tiny_model.epsilon)
         after = log_likelihood(tiny_corpus, updated)
         assert after >= before - 1e-9
+
+
+def with_subnormals(rng, num_docs, num_comps):
+    """Posteriors in which a third of the entries are subnormal, and the
+    last column's whole mass is."""
+    resp = rng.random((num_docs, num_comps))
+    tiny = rng.random(resp.shape) < 1 / 3
+    resp[tiny] *= 2.0 ** -1030
+    resp[:, -1] = rng.random(num_docs) * 2.0 ** -1040
+    assert 0 < resp[:, -1].sum() < np.finfo(np.float64).smallest_normal
+    return resp
+
+
+class TestUnderflowKernels:
+    """The EM kernels' ways around numpy's and the CPU's underflow slow
+    paths give exactly what the plain kernels give."""
+
+    def test_m_step_product_equals_unscaled(self, monkeypatch):
+        corpus = random_corpus(60, 24, 80, seed=5)
+        counts = corpus.csr()
+        resp = with_subnormals(np.random.default_rng(6), corpus.num_docs, 6)
+        seen = []
+        water_fill = em._water_fill_rows
+
+        def recording_water_fill(weights, epsilon):
+            seen.append(np.array(weights))
+            return water_fill(weights, epsilon)
+
+        monkeypatch.setattr(em, "_water_fill_rows", recording_water_fill)
+        eps = default_floor(corpus.total_tokens)
+        pi, log_f = em._m_step_block(counts, resp.copy(), [(3, 2)], eps, 0.0)
+        expected = counts.T.dot(resp).T
+        assert (0 < expected[-1]).all() and (expected[-1] < 2.0 ** -1022).any()
+        [weights] = seen
+        assert weights.tobytes() == expected.tobytes()
+        assert pi.tobytes() == np.concatenate([
+            mass / mass.sum() for mass in resp.sum(axis=0).reshape(2, 3)]).tobytes()
+        assert log_f.tobytes() == np.log(water_fill(expected, eps)).tobytes()
+
+    def test_public_m_step_leaves_resp_unchanged(self, tiny_corpus):
+        resp = with_subnormals(np.random.default_rng(7), tiny_corpus.num_docs, 3)
+        before = resp.copy()
+        m_step(tiny_corpus, resp, default_floor(tiny_corpus.total_tokens))
+        assert resp.tobytes() == before.tobytes()
+
+    def test_one_hot_e_step_skips_exp_and_equals_plain_exp(self, monkeypatch):
+        # long documents over well-separated topics: nearly one-hot posteriors
+        mix = dm.planted_mixture(5, 60, seed=np.random.SeedSequence((8, 1)),
+                                 concentration=0.1)
+        corpus = dm.generate_corpus(mix, 150, (400, 900),
+                                    seed=np.random.SeedSequence((8, 2))).corpus
+        eps = default_floor(corpus.total_tokens)
+        model = run_em(corpus, random_init(corpus, 5, 8, eps),
+                       EmConfig(max_iters=2)).model
+        skips = []
+        putmask = np.putmask
+
+        def recording_putmask(a, mask, values):
+            skips.append(a.shape)
+            putmask(a, mask, values)
+
+        monkeypatch.setattr(np, "putmask", recording_putmask)
+        resp, loglik = e_step(corpus, model)
+        monkeypatch.setattr(np, "putmask", putmask)
+        # both exps (log-sum-exp and responsibilities) took the skip
+        assert len(skips) == 4
+
+        def plain_exp(a):
+            return np.exp(a, out=a)
+
+        monkeypatch.setattr(mixture, "_exp_in_place", plain_exp)
+        monkeypatch.setattr(em, "_exp_in_place", plain_exp)
+        plain_resp, plain_loglik = e_step(corpus, model)
+        assert resp.tobytes() == plain_resp.tobytes()
+        assert loglik == plain_loglik
 
 
 class TestRunEm:

@@ -9,9 +9,12 @@ format's alphabet.
 
 import io
 import json
+import os
+import tempfile
 
 from hypothesis import example, given, settings, strategies as st
 
+from docmix.cli import load_synth_config
 from docmix.corpus import (
     Corpus,
     Vocabulary,
@@ -108,12 +111,14 @@ def test_parse_bag_of_words(docword, vocab):
 
 sweep_rows = st.lists(
     st.sampled_from(SWEEP_TEXT.splitlines())
-    | st.lists(st.text('0123456789.e-+" naif', max_size=6), max_size=4).map(",".join),
+    | st.lists(st.text('0123456789.e-+" naif\r', max_size=6), max_size=4).map(",".join),
     max_size=6,
 ).map("\n".join)
 
 
 @given(sweep_rows | st.integers(0, len(SWEEP_TEXT)).map(lambda n: SWEEP_TEXT[:n]))
+@example("K,D_K,min_contrast\n1,2\r0,3.5\n")
+@example("9" * 200_000 + ",2,3.5\n")  # over the csv module's field size limit
 @EXAMPLES
 def test_sweep_from_csv(text):
     reads_or_rejects(sweep_from_csv, text)
@@ -133,3 +138,21 @@ year_rows = st.builds(
 def test_load_year_sidecar(text, newline):
     # newline="" is how the CLI opens the file; "\n" is io.StringIO's default
     reads_or_rejects(load_year_sidecar, io.StringIO(text, newline=newline))
+
+
+SYNTH_TEXT = json.dumps({
+    "schema_version": 1, "k_true": 2, "num_words": 10, "num_docs": 30,
+    "length_range": [20, 50], "min_pairwise_kl": 1.0, "concentration": 0.5,
+    "epsilon": 0.01, "seeds": [0, 1], "ladder": [1, 2, 3], "mode": "bic",
+    "em": {"n_starts": 4, "rel_tol": 1e-6, "annihilation": "mml"},
+})
+
+
+@given(st.data())
+@EXAMPLES
+def test_load_synth_config(data):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "synth.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(broken(data, SYNTH_TEXT))
+        reads_or_rejects(load_synth_config, path)

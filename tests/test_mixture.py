@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from docmix.corpus import Corpus, Vocabulary
 from docmix.errors import FormatError
+import docmix.mixture as mixture
 from docmix.mixture import (
     Assignment,
     IdentifiabilityWarning,
@@ -235,3 +236,72 @@ def test_random_models_score_finitely(seed):
     labels = map_assign(corpus, model).labels
     assert labels.min() >= 0
     assert labels.max() < model.num_components
+
+
+# the least input whose exp is nonzero (the least subnormal); below it exp is +0.0
+EXP_UNDERFLOW = -745.1332191019411
+
+
+def steps_from(x, towards, count):
+    """``count`` consecutive doubles after ``x`` in the direction of ``towards``."""
+    out = [x]
+    for _ in range(count):
+        out.append(np.nextafter(out[-1], towards))
+    return out[1:]
+
+
+class TestExpInPlace:
+    """mixture._exp_in_place is np.exp byte for byte on both sides of its gate."""
+
+    EDGES = np.array([
+        -np.inf, np.nan, -746.0, *steps_from(-746.0, 0.0, 3), *steps_from(-746.0, -np.inf, 3),
+        EXP_UNDERFLOW, *steps_from(EXP_UNDERFLOW, 0.0, 4),
+        *steps_from(EXP_UNDERFLOW, -np.inf, 4),
+        *np.linspace(-745.0, -708.5, 200),  # subnormal outputs
+        -708.3, -1e308, -1.0, -0.0, 0.0,
+    ])
+
+    def check(self, values, skips):
+        low_share = np.count_nonzero(values < mixture._EXP_ZERO_BELOW) / values.size
+        assert (low_share >= mixture._EXP_SKIP_SHARE) == skips
+        expected = np.exp(values)
+        out = values.copy()
+        assert mixture._exp_in_place(out) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("skips", [False, True])
+    def test_edges(self, skips):
+        rng = np.random.default_rng(3)
+        fill = rng.uniform(-2000.0, -746.5, 4000) if skips else rng.uniform(-50.0, 0.0, 4000)
+        self.check(rng.permutation(np.concatenate([self.EDGES, fill])), skips)
+
+    @pytest.mark.parametrize("skips", [False, True])
+    def test_strided_views(self, skips):
+        # an (L, n, k) view of some columns of a wider buffer, as a
+        # lockstep block with several runs of K passes to the E-step
+        rng = np.random.default_rng(4)
+        base = rng.uniform(-1200.0, 0.0, (50, 30)) if skips else rng.uniform(-800.0, 0.0, (50, 30))
+        base[::7, ::5] = np.nan
+        base[3::11, 2::9] = -np.inf
+        view = base[:, 6:18].reshape(50, 3, 4)[:, ::2]
+        assert not view.flags.c_contiguous
+        before = base.copy()
+        expected = np.exp(view)
+        low_share = np.count_nonzero(view < mixture._EXP_ZERO_BELOW) / view.size
+        assert (low_share >= mixture._EXP_SKIP_SHARE) == skips
+        mixture._exp_in_place(view)
+        assert view.tobytes() == expected.tobytes()
+        untouched = np.ones(base.shape, dtype=bool)
+        untouched[:, 6:18].reshape(50, 3, 4)[:, ::2] = False
+        assert base[untouched].tobytes() == before[untouched].tobytes()
+
+    def test_numpy_exp_is_plus_zero_below_the_cutoff(self):
+        # what the skip writes without calling exp
+        below = np.concatenate([
+            np.linspace(-5000.0, mixture._EXP_ZERO_BELOW, 1_000_001),
+            steps_from(mixture._EXP_ZERO_BELOW, -np.inf, 10_000),
+            [-1e308, -np.finfo(np.float64).max, -np.inf],
+        ])
+        out = np.exp(below)
+        assert not out.any() and not np.signbit(out).any()
+        assert np.exp(np.nextafter(EXP_UNDERFLOW, -np.inf)) == 0.0 < np.exp(EXP_UNDERFLOW)
