@@ -8,6 +8,10 @@ that the E- and M-step kernels in src/docmix are built around:
   about -745.13) or subnormal; _exp_in_place skips the +0.0 ones;
 - X.T @ resp on real responsibilities, with their subnormals, with them
   flushed to 0, and scaled by 2**64 as _m_step_block computes it;
+- the log-sum-exp's max and sum over the last axis (K components) as one
+  per-row reduction against K column passes, and the per-row sort, at
+  small-ladder's (200, 15, K) and a nips-sweep slice's (819, 2, K);
+  mixture._COLUMN_PASSES_BELOW sits where the column passes stop winning;
 - the speed-up of two threads running a kernel at once over one thread
   running it twice, which bounds what a thread pool over starts or
   rungs can gain from each kernel.
@@ -70,6 +74,38 @@ def two_thread_speedup(op, seconds=1.0, trials=3) -> float:
     return sorted(ratios)[trials // 2]
 
 
+def column_max(a):
+    top = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(top, a[..., j], out=top)
+    return top
+
+
+def column_sum(a):
+    """K - 1 column passes, the work of mixture._sum_last_axis below its cut."""
+    total = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
+def log_sum_exp_table():
+    print(f"\nlog-sum-exp over the last axis, us per call (best of {REPEATS}); "
+          f"column passes below K={mixture._COLUMN_PASSES_BELOW}:")
+    print(f"  {'shape':15s} {'max rows':>9s} {'max cols':>9s} {'sum rows':>9s} "
+          f"{'sum cols':>9s} {'sort':>9s} {'lse':>9s}")
+    rng = np.random.default_rng(1)
+    for shape in [(200, 15, 2), (200, 15, 5), (200, 15, 10), (819, 2, 10), (819, 2, 20)]:
+        scores = rng.normal(-3000.0, 20.0, shape)
+        exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        rows = np.sort(exps, axis=-1)
+        times = [best_ms(op, setup) * 1e3 for op, setup in [
+            (lambda a: a.max(axis=-1), lambda: scores), (column_max, lambda: scores),
+            (lambda a: np.add.reduce(a, axis=-1), lambda: rows), (column_sum, lambda: rows),
+            (lambda a: a.sort(axis=-1), exps.copy), (mixture._log_sum_exp, lambda: scores)]]
+        print(f"  {str(shape):15s}" + "".join(f" {t:9.0f}" for t in times))
+
+
 def main():
     mix = planted_mixture(20, 300, seed=np.random.SeedSequence((0, 1)), concentration=0.1)
     corpus = generate_corpus(mix, 5804, (100, 900), seed=np.random.SeedSequence((0, 2))).corpus
@@ -79,7 +115,7 @@ def main():
     pi, runs = pi.ravel(), em._runs([20, 20])
     for _ in range(4):
         resp, _ = em._e_step_block(counts, pi, log_f, runs)
-        pi, log_f = em._m_step_block(counts, resp, runs, epsilon, 0.0)
+        pi, log_f = em._m_step_block(counts.T, resp, runs, epsilon, 0.0)
     resp, _ = em._e_step_block(counts, pi, log_f, runs)
     print(f"corpus: L={corpus.num_docs}, B={corpus.num_words}, nnz={counts.nnz}; "
           f"block of 2 starts at K=20, resp {resp.shape}")
@@ -102,6 +138,8 @@ def main():
     print(f"  as is            {best_ms(lambda r: counts.T.dot(r), lambda: resp):8.2f}")
     print(f"  subnormals -> 0  {best_ms(lambda r: counts.T.dot(r), lambda: flushed):8.2f}")
     print(f"  scaled by 2**64  {best_ms(lambda r: counts.T.dot(r), lambda: scaled):8.2f}")
+
+    log_sum_exp_table()
 
     print("\ntwo threads over one (2.0 = perfect):")
     scores = counts @ log_f.T

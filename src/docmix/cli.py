@@ -233,9 +233,9 @@ def load_synth_config(path) -> dict:
         out["ladder"] = list(ladder)
     elif "k_max" in config:
         k_max = _require(config, "k_max", int)
-        if k_max < 1:
-            raise ConfigError("must be >= 1", field="k_max")
-        out["ladder"] = list(range(1, k_max + 1))
+        if not 1 <= k_max <= out["num_docs"]:
+            raise ConfigError(f"must be in 1..num_docs = {out['num_docs']}", field="k_max")
+        out["ladder"] = range(1, k_max + 1)  # no list, however large num_docs is
     else:
         raise ConfigError("missing (provide ladder or k_max)", field="ladder")
     em_overrides = config.get("em", {})

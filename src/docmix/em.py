@@ -235,10 +235,10 @@ def _e_step_block(counts, pi: np.ndarray, log_f: np.ndarray,
     return scores, np.add.reduce(log_density, axis=1)
 
 
-def _m_step_block(counts, resp: np.ndarray, runs, epsilon: float,
+def _m_step_block(counts_t, resp: np.ndarray, runs, epsilon: float,
                   weight_offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """m_step for every model of a block: weights (N,), log densities (N, B).
-    Overwrites ``resp``.
+    """m_step for every model of a block: weights (N,), log densities (N, B),
+    from the transposed count matrix ``counts_t`` (B, L). Overwrites ``resp``.
 
     Nearly one-hot posteriors leave some responsibilities subnormal, and
     a multiply with a subnormal operand takes the CPU's slow path, in
@@ -250,7 +250,7 @@ def _m_step_block(counts, resp: np.ndarray, runs, epsilon: float,
     multiple of 2**-1074 below 2**-1022, which is an exact subnormal
     unscaled.
     """
-    num_words = counts.shape[1]
+    num_words = counts_t.shape[0]
     col_mass = resp.sum(axis=0)
     if weight_offset:
         col_mass = np.maximum(col_mass - weight_offset, 0.0)
@@ -266,7 +266,7 @@ def _m_step_block(counts, resp: np.ndarray, runs, epsilon: float,
         pi[col:col + n * k] = (mass / mass.sum(axis=1)[:, None]).ravel()
         col += n * k
     resp *= _RESP_SCALE
-    weighted_counts = counts.T.dot(resp)
+    weighted_counts = counts_t.dot(resp)
     weighted_counts *= 1 / _RESP_SCALE
     live = col_mass > 0
     pi[~live] = 0.0
@@ -301,7 +301,7 @@ def m_step(corpus: Corpus, resp: np.ndarray, epsilon: float,
     gets weight 0 and the uniform density.
     """
     resp = np.array(resp, dtype=np.float64)  # a copy: the kernel scales it in place
-    pi, log_f = _m_step_block(corpus.csr(), resp, [(resp.shape[1], 1)], epsilon,
+    pi, log_f = _m_step_block(corpus.csr().T, resp, [(resp.shape[1], 1)], epsilon,
                               weight_offset)
     return MixtureModel(pi=pi, log_f=log_f, epsilon=epsilon)
 
@@ -332,6 +332,7 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
     value computed without it, its indices).
     """
     counts = corpus.csr()
+    counts_t = counts.T  # once: each .T builds and checks a new csc_matrix
     num_models, num_comps = pi.shape
     pi = pi.ravel()
     sizes = [num_comps] * num_models
@@ -343,7 +344,7 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
     resp, loglik = _e_step_block(counts, pi, log_f, runs)
     for iteration in range(max_iters + 1):
         if iteration:
-            pi, log_f = _m_step_block(counts, resp, runs, epsilon, weight_offset)
+            pi, log_f = _m_step_block(counts_t, resp, runs, epsilon, weight_offset)
             if weight_offset:
                 pi, log_f, sizes = _drop_dead(sizes, events, iteration, pi, log_f)
                 runs = _runs(sizes)

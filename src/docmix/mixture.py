@@ -20,6 +20,14 @@ one pass: each model's columns come out as if it were scored alone.
 With long documents most components' scores sit hundreds of nats below
 the best, so most exponentials of the log-sum-exp underflow to +0.0;
 _exp_in_place computes them off numpy's slow path, bit for bit.
+
+The sorted exponentials are summed in numpy's pairwise order, that of
+np.add.reduce over a contiguous last axis. At small K a per-row
+reduction costs far more per row than its arithmetic, so there the
+log-sum-exp takes the row maxima and this sum as column passes, one
+numpy call per component, and _sum_last_axis rebuilds the pairwise
+order from them. test_sum_is_numpys_pairwise_order in
+tests/test_mixture.py is the guard that fails first if numpy changes it.
 """
 
 from __future__ import annotations
@@ -48,6 +56,12 @@ FLOOR_SLACK = 1e-15
 _EXP_ZERO_BELOW = -746.0
 # Share of such inputs from which skipping them beats one plain np.exp.
 _EXP_SKIP_SHARE = 1 / 8
+# Below this many components the log-sum-exp takes its max and sum over
+# the last axis as one numpy call per component, a column pass over all
+# rows: a per-row reduction pays some 20-50 ns per row, which dominates
+# at small K, and from here on is the cheaper of the two again (numpy
+# 2.4 on an x86-64 Xeon; scripts/kernel_probe.py measures both).
+_COLUMN_PASSES_BELOW = 16
 
 
 class IdentifiabilityWarning(UserWarning):
@@ -196,24 +210,50 @@ def _exp_in_place(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _sum_last_axis(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=-1) bit for bit, for a C-contiguous ``a``.
+
+    Below _COLUMN_PASSES_BELOW, numpy's pairwise order is rebuilt from
+    column passes: for fewer than 8 columns it adds them in order; for
+    8 to 15 it adds ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), then the rest
+    in order.
+    """
+    k = a.shape[-1]
+    if k >= _COLUMN_PASSES_BELOW:
+        return np.add.reduce(a, axis=-1)
+    if k < 8:
+        total, start = a[..., 0].copy(), 1
+    else:
+        c = [a[..., j] for j in range(8)]
+        total, start = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])), 8
+    for j in range(start, k):
+        total += a[..., j]
+    return total
+
+
 def _log_sum_exp(scores: np.ndarray) -> np.ndarray:
     """Log-sum-exp over the last axis; -inf where that axis has no finite maximum.
 
     Summing exp in ascending order keeps the reduction identical under
     any permutation of the components, and the same for every leading
     shape, so an (L, S, K) stack of S models gives each model's (L, K)
-    result bit for bit.
+    result bit for bit. A row without a finite maximum is shifted by
+    NaN, which passes quietly through exp, sort, sum and log, and comes
+    out -inf.
     """
-    top = scores.max(axis=-1)
+    k = scores.shape[-1]
+    if k < _COLUMN_PASSES_BELOW:
+        top = scores[..., 0].copy()
+        for j in range(1, k):
+            np.maximum(top, scores[..., j], out=top)
+    else:
+        top = scores.max(axis=-1)
     finite = np.isfinite(top)
-    out = np.full(top.shape, -np.inf)
-    if np.any(finite):
-        shifted = scores[finite]
-        shifted -= top[finite, None]
-        _exp_in_place(shifted)
-        shifted.sort(axis=-1)
-        out[finite] = top[finite] + np.log(shifted.sum(axis=-1))
-    return out
+    # C order: numpy sums a row pairwise only along a contiguous last axis
+    shifted = np.subtract(scores, np.where(finite, top, np.nan)[..., None], order="C")
+    _exp_in_place(shifted)
+    shifted.sort(axis=-1)
+    return np.where(finite, top + np.log(_sum_last_axis(shifted)), -np.inf)
 
 
 def per_doc_log_density(corpus: Corpus, model: MixtureModel) -> np.ndarray:

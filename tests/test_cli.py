@@ -368,6 +368,16 @@ class TestSynth:
         out_dir = tmp_path / "out"
         assert cli.run(["synth", str(path), "--out-dir", str(out_dir)]) == 0
 
+    @pytest.mark.parametrize("k_max", [0, 31, 10**30])
+    def test_k_max_outside_num_docs_is_config_error(self, tmp_path, capsys, k_max):
+        # 10**30 is too long a range() to list
+        path = synth_config(tmp_path, k_max=k_max)
+        config = json.loads(path.read_text())
+        del config["ladder"]
+        path.write_text(json.dumps(config))
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: config field 'k_max'")
+
     def test_bad_schema_version(self, tmp_path):
         path = synth_config(tmp_path, schema_version=2)
         assert cli.run(["synth", str(path), "--out-dir",

@@ -255,7 +255,7 @@ class TestUnderflowKernels:
 
         monkeypatch.setattr(em, "_water_fill_rows", recording_water_fill)
         eps = default_floor(corpus.total_tokens)
-        pi, log_f = em._m_step_block(counts, resp.copy(), [(3, 2)], eps, 0.0)
+        pi, log_f = em._m_step_block(counts.T, resp.copy(), [(3, 2)], eps, 0.0)
         expected = counts.T.dot(resp).T
         assert (0 < expected[-1]).all() and (expected[-1] < 2.0 ** -1022).any()
         [weights] = seen

@@ -148,11 +148,15 @@ SYNTH_TEXT = json.dumps({
 })
 
 
-@given(st.data())
+# the same config with its ladder given as k_max
+SYNTH_K_MAX_TEXT = SYNTH_TEXT.replace('"ladder": [1, 2, 3]', '"k_max": 3')
+
+
+@given(st.data(), st.sampled_from([SYNTH_TEXT, SYNTH_K_MAX_TEXT]))
 @EXAMPLES
-def test_load_synth_config(data):
+def test_load_synth_config(data, base):
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "synth.json")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(broken(data, SYNTH_TEXT))
+            handle.write(broken(data, base))
         reads_or_rejects(load_synth_config, path)

@@ -305,3 +305,73 @@ class TestExpInPlace:
         out = np.exp(below)
         assert not out.any() and not np.signbit(out).any()
         assert np.exp(np.nextafter(EXP_UNDERFLOW, -np.inf)) == 0.0 < np.exp(EXP_UNDERFLOW)
+
+
+def reference_log_sum_exp(scores):
+    """mixture._log_sum_exp as it was before its max and sum became column
+    passes: per-row reductions and a boolean select of the finite rows."""
+    top = scores.max(axis=-1)
+    finite = np.isfinite(top)
+    out = np.full(top.shape, -np.inf)
+    if np.any(finite):
+        shifted = scores[finite]
+        shifted -= top[finite, None]
+        np.exp(shifted, out=shifted)
+        shifted.sort(axis=-1)
+        out[finite] = top[finite] + np.log(shifted.sum(axis=-1))
+    return out
+
+
+def score_stack(shape, scale, seed):
+    """Scores of an (L, S, K) stack at ``scale`` nats of spread, with rows
+    whose maximum is -inf, +inf or NaN, and zero-weight components."""
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(0.0, scale, shape)
+    scores[0, 0] = -np.inf
+    scores[1, -1, -1] = np.inf
+    scores[2, 0, 0] = np.nan
+    scores[3, -1, :-1] = np.nan  # NaN beside a finite maximum
+    scores[4::5, :, 0] = -np.inf
+    scores[5, 0, -1] = np.inf
+    scores[5, 0, 0] = -np.inf
+    return scores
+
+
+class TestLogSumExp:
+    """mixture._log_sum_exp is the per-row reference bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, 301))
+    def test_sum_is_numpys_pairwise_order(self, k):
+        # the guard that fails first if numpy changes how it sums a row
+        rng = np.random.default_rng(k)
+        rows = np.sort(np.exp(rng.uniform(-760.0, 0.0, (40, 3, k))), axis=-1)
+        rows[..., -1] = 1.0
+        rows[:20] = np.sort(rng.random((20, 3, k)), axis=-1)
+        rows[0, 0] = 0.0
+        assert mixture._sum_last_axis(rows).tobytes() == np.add.reduce(rows, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("k", [*range(1, 33), 100, 129, 300])
+    @pytest.mark.parametrize("scale", [3.0, 1000.0])  # without and with underflow
+    def test_matches_reference(self, k, scale):
+        scores = score_stack((60, 4, k), scale, seed=k)
+        before = scores.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mixture._log_sum_exp(scores)
+        assert out.tobytes() == reference_log_sum_exp(scores).tobytes()
+        assert scores.tobytes() == before.tobytes()
+        assert np.all(out[[0, 1, 2, 5, 3], [0, 3, 0, 0, 3]][:4 + (k > 1)] == -np.inf)
+        assert not np.isnan(out).any()
+
+    @pytest.mark.parametrize("k", [3, 9, 20])
+    def test_strided_views(self, k):
+        # an (L, n, k) view of some columns of a wider buffer, as the E-step
+        # passes a lockstep block with several runs of K
+        base = score_stack((50, 3, 4 * k), 3.0, seed=k).reshape(50, 12 * k)
+        view = base[:, 2 * k:8 * k].reshape(50, 6, k)[:, ::2]
+        assert not view.flags.c_contiguous
+        for scores in (view, np.asfortranarray(view)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = mixture._log_sum_exp(scores)
+            assert out.tobytes() == reference_log_sum_exp(view).tobytes()
