@@ -112,11 +112,11 @@ def main():
     counts = corpus.csr()
     epsilon = mixture.default_floor(corpus.total_tokens)
     pi, log_f = em._random_init_block(corpus, 20, [0, 1], epsilon, 1.0)
-    pi, runs = pi.ravel(), em._runs([20, 20])
+    pi = pi.ravel()
     for _ in range(4):
-        resp, _ = em._e_step_block(counts, pi, log_f, runs)
-        pi, log_f = em._m_step_block(counts.T, resp, runs, epsilon, 0.0)
-    resp, _ = em._e_step_block(counts, pi, log_f, runs)
+        resp, _ = em._e_step_block(counts, pi, log_f, 20)
+        pi, log_f = em._m_step_block(counts.T, resp, 20, epsilon, 0.0)
+    resp, _ = em._e_step_block(counts, pi, log_f, 20)
     print(f"corpus: L={corpus.num_docs}, B={corpus.num_words}, nnz={counts.nnz}; "
           f"block of 2 starts at K=20, resp {resp.shape}")
 

@@ -1,28 +1,30 @@
 """EM fitting with floor-constrained M-steps and component annihilation.
 
-The fitting entry point is robust_em: launch several short EM runs from
-random starts, keep the best, then continue it with full EM while
+The fitting entry point is robust_em, one rung in two phases: the short
+phase (_short_phase) runs several short EMs from random starts, and the
+long phase (_long_phase) continues the best with full EM while
 annihilating weak components. Short starts and long runs are the same
 loop, each iteration one M-step and one E-step, and the E-step scores
 the corpus once; a short start runs exactly short_iters iterations, a
 long run (run_em) stops at the relative stall rel_tol or max_iters.
 
-The loop advances a block of models in lockstep: their parameters are
-stacked into one (sum of K) x B array, so an iteration is one sparse
-scoring product, one log-sum-exp per distinct K (over slices of
-documents, to bound its sorted copy), one X.T @ resp and one water-fill
-over all rows, whatever the number of models. The block stops as one,
-after max_iters iterations or once every model has stalled; no model
-leaves it early. Short starts pass rel_tol 0, so each runs exactly
-short_iters iterations, and run_em is the block of one, so both stop
-where a model run alone would. A rung's short starts run as a few such
-blocks: at least one per thread, and more when one (L, S*K) array of
-all S starts would exceed _BLOCK_BYTES, so memory stays flat as L, K or
-S grow. Every kernel gives each model of a block exactly the values it
-gets alone, so neither the thread count nor the grouping changes any
-result. A group that fails reruns its starts one by one, so the error a
-rung raises is always that of its lowest failing seed, at that start's
-own iteration.
+The loop advances a block of S models of one size K in lockstep: their
+parameters are stacked into one (S*K) x B array, so an iteration is one
+sparse scoring product, one log-sum-exp (over slices of documents, to
+bound its sorted copy), one X.T @ resp and one water-fill over all rows,
+whatever the number of models. The block stops as one, after max_iters
+iterations or once every model has stalled; no model leaves it early.
+Short starts pass rel_tol 0, so each runs exactly short_iters
+iterations, and run_em is the block of one, so both stop where a model
+run alone would. Under the threshold rule a rung's short starts run as
+a few such blocks: at least one per thread, and more when one (L, S*K)
+array of all S starts would exceed _BLOCK_BYTES, so memory stays flat
+as L, K or S grow. Under the MML rule K shrinks inside the loop, so
+each start runs alone. Every kernel gives each model of a block exactly
+the values it gets alone, so neither the thread count nor the grouping
+changes any result. A group that fails reruns its starts one by one, so
+the error a rung raises is always that of its lowest failing seed, at
+that start's own iteration.
 
 The kernels keep off two underflow slow paths, with results bit for
 bit those of the plain kernels. On long documents the posteriors are
@@ -194,51 +196,38 @@ _SORT_BYTES = 1 << 18
 # The M-step's product runs on responsibilities times this power of two.
 _RESP_SCALE = 2.0 ** 64
 
-# A block stacks S models: weights pi (N,) and log densities log_f (N, B),
-# model after model, N the sum of their component counts. ``runs`` lists
-# (K, count) for each stretch of consecutive models with K components.
+# A block stacks S models of K components each: weights pi (S*K,) and
+# log densities log_f (S*K, B), model s owning rows s*K .. s*K + K - 1.
 # Every kernel below treats each model as if it were alone: the sparse
 # products are column-independent, and each model's reductions run over
 # its own contiguous row, so a block gives each model's values bit for bit.
 
 
-def _runs(sizes) -> list[tuple[int, int]]:
-    runs: list[tuple[int, int]] = []
-    for k in sizes:
-        if runs and runs[-1][0] == k:
-            runs[-1] = (k, runs[-1][1] + 1)
-        else:
-            runs.append((k, 1))
-    return runs
-
-
 def _e_step_block(counts, pi: np.ndarray, log_f: np.ndarray,
-                  runs) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities (L, N) and each model's log-likelihood, from one
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities (L, S*K) and each model's log-likelihood, from one
     scoring pass; the score buffer becomes the responsibilities in place."""
     scores = _scores(counts, pi, log_f)
-    num_docs = scores.shape[0]
+    num_docs, width = scores.shape
+    view = scores.reshape(num_docs, width // k, k)
     # one row per model, so each log-likelihood is a pairwise row sum
-    log_density = np.empty((sum(n for _, n in runs), num_docs))
-    col = row = 0
-    for k, n in runs:
-        view = scores[:, col:col + n * k].reshape(num_docs, n, k)
-        # a few documents at a time, so the sorted copy stays small
-        step = max(1, _SORT_BYTES // (8 * n * k))
-        for top in range(0, num_docs, step):
-            part = view[top:top + step]
-            dens = _log_sum_exp(part)
-            part -= dens[:, :, None]
-            _exp_in_place(part)
-            log_density[row:row + n, top:top + step] = dens.T
-        col, row = col + n * k, row + n
+    log_density = np.empty((width // k, num_docs))
+    # a few documents at a time, so the sorted copy stays small
+    step = max(1, _SORT_BYTES // (8 * width))
+    for top in range(0, num_docs, step):
+        part = view[top:top + step]
+        dens = _log_sum_exp(part)
+        part -= dens[:, :, None]
+        _exp_in_place(part)
+        log_density[:, top:top + step] = dens.T
     return scores, np.add.reduce(log_density, axis=1)
 
 
-def _m_step_block(counts_t, resp: np.ndarray, runs, epsilon: float,
+def _m_step_block(counts_t, resp: np.ndarray, k: int, epsilon: float,
                   weight_offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """m_step for every model of a block: weights (N,), log densities (N, B),
-    from the transposed count matrix ``counts_t`` (B, L). Overwrites ``resp``.
+    """m_step for every model of a block: weights (S*K,), log densities
+    (S*K, B), from the transposed count matrix ``counts_t`` (B, L).
+    Overwrites ``resp``.
 
     Nearly one-hot posteriors leave some responsibilities subnormal, and
     a multiply with a subnormal operand takes the CPU's slow path, in
@@ -254,17 +243,13 @@ def _m_step_block(counts_t, resp: np.ndarray, runs, epsilon: float,
     col_mass = resp.sum(axis=0)
     if weight_offset:
         col_mass = np.maximum(col_mass - weight_offset, 0.0)
-    pi = np.empty_like(col_mass)
-    col = 0
-    for k, n in runs:
-        mass = col_mass[col:col + n * k].reshape(n, k)
-        if weight_offset and not np.all(mass.any(axis=1)):
-            raise DegenerateFitError(
-                f"every component's responsibility mass is at most "
-                f"N/2 = {weight_offset}"
-            )
-        pi[col:col + n * k] = (mass / mass.sum(axis=1)[:, None]).ravel()
-        col += n * k
+    mass = col_mass.reshape(-1, k)
+    if weight_offset and not np.all(mass.any(axis=1)):
+        raise DegenerateFitError(
+            f"every component's responsibility mass is at most "
+            f"N/2 = {weight_offset}"
+        )
+    pi = (mass / mass.sum(axis=1)[:, None]).ravel()
     resp *= _RESP_SCALE
     weighted_counts = counts_t.dot(resp)
     weighted_counts *= 1 / _RESP_SCALE
@@ -275,18 +260,10 @@ def _m_step_block(counts_t, resp: np.ndarray, runs, epsilon: float,
     return pi, log_f
 
 
-def _validate_runs(pi: np.ndarray, log_f: np.ndarray, runs, epsilon: float) -> None:
-    col = 0
-    for k, n in runs:
-        _validate_block(pi[col:col + n * k].reshape(n, k), log_f[col:col + n * k],
-                        epsilon)
-        col += n * k
-
-
 def e_step(corpus: Corpus, model: MixtureModel) -> tuple[np.ndarray, float]:
     """Posterior responsibilities and total log-likelihood, from one scoring pass."""
     resp, loglik = _e_step_block(corpus.csr(), model.pi, model.log_f,
-                                 [(model.num_components, 1)])
+                                 model.num_components)
     return resp, float(loglik[0])
 
 
@@ -301,7 +278,7 @@ def m_step(corpus: Corpus, resp: np.ndarray, epsilon: float,
     gets weight 0 and the uniform density.
     """
     resp = np.array(resp, dtype=np.float64)  # a copy: the kernel scales it in place
-    pi, log_f = _m_step_block(corpus.csr().T, resp, [(resp.shape[1], 1)], epsilon,
+    pi, log_f = _m_step_block(corpus.csr().T, resp, resp.shape[1], epsilon,
                               weight_offset)
     return MixtureModel(pi=pi, log_f=log_f, epsilon=epsilon)
 
@@ -326,80 +303,58 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
     with ``seeds[s]``. The block stops as one: after max_iters M-steps, or
     once every model's relative stall is below rel_tol. Each model's trace
     begins with the one it runs alone; a model that stalls before the
-    others keeps iterating until the block stops. With a positive
-    weight_offset (the MML rule) every component whose weight the M-step
-    set to 0 is removed at once and recorded as (index of the first trace
-    value computed without it, its indices).
+    others keeps iterating until the block stops. A positive
+    weight_offset (the MML rule) takes a block of one model: every
+    component whose weight the M-step set to 0 is removed at once and
+    recorded as (index of the first trace value computed without it, its
+    indices).
     """
     counts = corpus.csr()
     counts_t = counts.T  # once: each .T builds and checks a new csc_matrix
     num_models, num_comps = pi.shape
+    if weight_offset and num_models > 1:
+        raise ValueError(f"a positive weight_offset takes one model, got {num_models}")
+    k = num_comps
     pi = pi.ravel()
-    sizes = [num_comps] * num_models
     traces: list[list[float]] = [[] for _ in range(num_models)]
-    events: list[list[tuple[int, list[int]]]] = [[] for _ in range(num_models)]
+    events: list[tuple[int, list[int]]] = []
     objective = [0.0] * num_models
     eta = [float("inf")] * num_models
-    runs = _runs(sizes)
-    resp, loglik = _e_step_block(counts, pi, log_f, runs)
+    resp, loglik = _e_step_block(counts, pi, log_f, k)
     for iteration in range(max_iters + 1):
         if iteration:
-            pi, log_f = _m_step_block(counts_t, resp, runs, epsilon, weight_offset)
-            if weight_offset:
-                pi, log_f, sizes = _drop_dead(sizes, events, iteration, pi, log_f)
-                runs = _runs(sizes)
-            _validate_runs(pi, log_f, runs, epsilon)
-            resp, loglik = _e_step_block(counts, pi, log_f, runs)
+            pi, log_f = _m_step_block(counts_t, resp, k, epsilon, weight_offset)
+            if weight_offset and not pi.all():
+                live = pi != 0
+                events.append((iteration, np.flatnonzero(~live).tolist()))
+                pi, log_f = pi[live], log_f[live]
+                pi /= pi.sum()
+                k = pi.size
+            _validate_block(pi.reshape(num_models, k), log_f, epsilon)
+            resp, loglik = _e_step_block(counts, pi, log_f, k)
         bad = ~np.isfinite(loglik)
         if bad.any():
             raise NumericalError(f"non-finite log-likelihood {loglik[bad][0]}",
                                  iteration=iteration)
-        col = 0
         for s, value in enumerate(loglik.tolist()):
             traces[s].append(value)
-            new_objective = _objective(value, pi[col:col + sizes[s]], weight_offset)
-            col += sizes[s]
+            new_objective = _objective(value, pi[s * k:(s + 1) * k], weight_offset)
             if iteration:
                 eta[s] = abs(new_objective - objective[s]) / max(abs(objective[s]), 1.0)
             objective[s] = new_objective
         if iteration == max_iters or max(eta) < rel_tol:
             break
-    fits, col = [], 0
-    for s, k in enumerate(sizes):
-        comps = slice(col, col + k)
-        col = comps.stop
-        fits.append(FitResult(
-            model=MixtureModel(pi=pi[comps].copy(), log_f=log_f[comps].copy(),
-                               epsilon=epsilon),
-            loglik_trace=traces[s],
-            k_initial=num_comps,
-            k_final=k,
-            annihilation_events=events[s],
-            seed=seeds[s],
-            converged=eta[s] < rel_tol,
-            eta_effective=eta[s],
-        ))
-    return fits
-
-
-def _drop_dead(sizes, events, at, pi, log_f):
-    """Remove every zero-weight component from the block after an MML
-    M-step, renormalize the survivors' weights of each model that lost
-    one, and record its event at trace index ``at``; returns the new sizes."""
-    dead = pi == 0
-    if not dead.any():
-        return pi, log_f, sizes
-    pi, log_f = pi[~dead], log_f[~dead]
-    kept, old, col = [], 0, 0
-    for s, k in enumerate(sizes):
-        gone = np.flatnonzero(dead[old:old + k])
-        old, k = old + k, k - gone.size
-        if gone.size:
-            events[s].append((at, gone.tolist()))
-            pi[col:col + k] /= pi[col:col + k].sum()
-        kept.append(k)
-        col += k
-    return pi, log_f, kept
+    return [FitResult(
+        model=MixtureModel(pi=pi[s * k:(s + 1) * k].copy(),
+                           log_f=log_f[s * k:(s + 1) * k].copy(), epsilon=epsilon),
+        loglik_trace=traces[s],
+        k_initial=num_comps,
+        k_final=k,
+        annihilation_events=list(events),
+        seed=seeds[s],
+        converged=eta[s] < rel_tol,
+        eta_effective=eta[s],
+    ) for s in range(num_models)]
 
 
 def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
@@ -502,13 +457,29 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
             f"floor {epsilon} infeasible for {corpus.num_words} categories"
         )
 
+    def score(fit: FitResult) -> float:
+        if config.annihilation == "mml":
+            return -message_length(fit.loglik_trace[-1], fit.model.pi, corpus.num_docs,
+                                   2 * config.weight_offset(corpus.num_words))
+        return fit.loglik_trace[-1]
+
+    starts = _short_phase(corpus, k_max, config, epsilon, threads)
+    best = max(range(config.n_starts), key=lambda i: (score(starts[i]), -i))
+    return _long_phase(corpus, starts[best], config)
+
+
+def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
+                 threads: int) -> list[FitResult]:
+    """Every start of a rung (seeds rng_seed + i) run short_iters
+    iterations, in lockstep groups under the threshold rule and alone
+    under MML; one FitResult per start, in seed order."""
     weight_offset = config.weight_offset(corpus.num_words)
 
     def run_group(seeds: list[int]) -> list[FitResult]:
         # A fixed number of iterations: rel_tol 0 never stops a start early,
         # not even one that stalls at eta == 0.
         try:
-            pi, log_f = _random_init_block(corpus, k_max, seeds, epsilon,
+            pi, log_f = _random_init_block(corpus, k, seeds, epsilon,
                                            config.init_noise_scale)
             return _em_loop(corpus, pi, log_f, epsilon, seeds, config.short_iters,
                             0.0, weight_offset)
@@ -520,30 +491,29 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
             # whatever the grouping.
             return [fit for seed in seeds for fit in run_group([seed])]
 
-    def score(fit: FitResult) -> float:
-        if config.annihilation == "mml":
-            return -message_length(fit.loglik_trace[-1], fit.model.pi,
-                                   corpus.num_docs, 2 * weight_offset)
-        return fit.loglik_trace[-1]
-
     num_starts = config.n_starts
-    block_bytes = 8 * corpus.num_docs * k_max * num_starts
-    num_groups = min(num_starts, max(threads, -(-block_bytes // _BLOCK_BYTES)))
+    if weight_offset:
+        num_groups = num_starts
+    else:
+        block_bytes = 8 * corpus.num_docs * k * num_starts
+        num_groups = min(num_starts, max(threads, -(-block_bytes // _BLOCK_BYTES)))
     groups = [[config.rng_seed + i for i in chunk.tolist()]
               for chunk in np.array_split(np.arange(num_starts), num_groups)]
     if threads > 1 and num_groups > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            starts = [fit for fits in pool.map(run_group, groups) for fit in fits]
-    else:
-        starts = [fit for seeds in groups for fit in run_group(seeds)]
-    best = max(range(config.n_starts), key=lambda i: (score(starts[i]), -i))
+            return [fit for fits in pool.map(run_group, groups) for fit in fits]
+    return [fit for seeds in groups for fit in run_group(seeds)]
 
-    model = starts[best].model
-    trace = list(starts[best].loglik_trace)
-    events = list(starts[best].annihilation_events)
+
+def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult:
+    """Continue ``start`` with full EM until a converged run leaves no
+    component to annihilate; its trace and events come first in the fit's."""
+    model = start.model
+    trace = list(start.loglik_trace)
+    events = list(start.annihilation_events)
     fresh_model = False
     converged = False
-    eta = starts[best].eta_effective
+    eta = start.eta_effective
     # Sweep first, EM second: the threshold is checked on the multistart
     # winner before any long run, then after every converged run, so weak
     # components are culled before they can settle onto a few documents.
@@ -560,8 +530,8 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
         fit = run_em(corpus, model, config)
         # a run continuing the same model repeats its first value, which
         # is dropped; its own event indices shift with it
-        start = len(trace) if fresh_model else len(trace) - 1
-        events.extend((start + i, gone) for i, gone in fit.annihilation_events)
+        offset = len(trace) if fresh_model else len(trace) - 1
+        events.extend((offset + i, gone) for i, gone in fit.annihilation_events)
         trace.extend(fit.loglik_trace if fresh_model else fit.loglik_trace[1:])
         model, converged, eta = fit.model, fit.converged, fit.eta_effective
         fresh_model = False
@@ -573,7 +543,7 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
     return FitResult(
         model=model,
         loglik_trace=trace,
-        k_initial=k_max,
+        k_initial=start.k_initial,
         k_final=model.num_components,
         annihilation_events=events,
         seed=config.rng_seed,

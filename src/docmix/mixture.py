@@ -137,7 +137,7 @@ class MixtureModel:
                 f"B={self.num_words} < 2K-1={2 * self.num_components - 1}: "
                 "mixture parameters may not be identifiable",
                 IdentifiabilityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -255,7 +255,7 @@ class TestUnderflowKernels:
 
         monkeypatch.setattr(em, "_water_fill_rows", recording_water_fill)
         eps = default_floor(corpus.total_tokens)
-        pi, log_f = em._m_step_block(counts.T, resp.copy(), [(3, 2)], eps, 0.0)
+        pi, log_f = em._m_step_block(counts.T, resp.copy(), 3, eps, 0.0)
         expected = counts.T.dot(resp).T
         assert (0 < expected[-1]).all() and (expected[-1] < 2.0 ** -1022).any()
         [weights] = seen
@@ -457,8 +457,8 @@ def recorded_fit(monkeypatch, corpus, k_max, config):
     calls = []
     block_e_step = em._e_step_block
 
-    def recording_e_step(counts, pi, log_f, runs):
-        resp, logliks = block_e_step(counts, pi, log_f, runs)
+    def recording_e_step(counts, pi, log_f, k):
+        resp, logliks = block_e_step(counts, pi, log_f, k)
         [loglik] = logliks.tolist()
         calls.append((loglik, pi.copy()))
         return resp, logliks
@@ -586,21 +586,10 @@ class TestMmlAnnihilation:
         assert mml == {**default, "annihilation": "mml"}
 
 
-def short_phase(monkeypatch, corpus, k_max, config, threads=1):
+def short_phase(corpus, k_max, config, threads=1):
     """The per-start fits of robust_em's short phase, in seed order."""
-    seen = []
-    loop = em._em_loop
-
-    def recording_loop(*args):
-        fits = loop(*args)
-        if args[6] == 0.0:
-            seen.append(fits)
-        return fits
-
-    monkeypatch.setattr(em, "_em_loop", recording_loop)
-    robust_em(corpus, k_max, config, threads=threads)
-    monkeypatch.setattr(em, "_em_loop", loop)
-    return [fit for fits in sorted(seen, key=lambda fits: fits[0].seed) for fit in fits]
+    return em._short_phase(corpus, k_max, config, default_floor(corpus.total_tokens),
+                           threads)
 
 
 class TestLockstep:
@@ -609,7 +598,7 @@ class TestLockstep:
     CASES = {
         # K >= 8 under the threshold rule: wide log-sum-exp rows
         "threshold": (lambda: random_corpus(60, 24, 80, seed=5), 9),
-        # MML: starts drop components inside the block, so K turns ragged
+        # MML: starts drop components inside the loop, so each runs alone
         "mml": (lambda: planted_corpus(10), 6),
     }
 
@@ -626,23 +615,28 @@ class TestLockstep:
         config = EmConfig(rng_seed=40, n_starts=7, annihilation=rule)
         if block_bytes is not None:
             monkeypatch.setattr(em, "_BLOCK_BYTES", block_bytes)
-        block = short_phase(monkeypatch, corpus, k_max, config, threads)
+        seen = []
+        loop = em._em_loop
+
+        def recording_loop(corpus, pi, log_f, epsilon, seeds, *args):
+            seen.append(seeds)
+            return loop(corpus, pi, log_f, epsilon, seeds, *args)
+
+        monkeypatch.setattr(em, "_em_loop", recording_loop)
+        block = short_phase(corpus, k_max, config, threads)
+        if rule == "mml":
+            # every short-phase block holds exactly one seed
+            assert sorted(seen) == [[seed] for seed in range(40, 47)]
         assert [fit.seed for fit in block] == list(range(40, 47))
         for i, fit in enumerate(block):
             alone_config = replace(config, rng_seed=40 + i, n_starts=1)
-            [alone] = short_phase(monkeypatch, corpus, k_max, alone_config)
+            [alone] = short_phase(corpus, k_max, alone_config)
             assert fit.loglik_trace == alone.loglik_trace
             assert fit.annihilation_events == alone.annihilation_events
             assert np.array_equal(fit.model.pi, alone.model.pi)
             assert np.array_equal(fit.model.log_f, alone.model.log_f)
             assert (fit.k_final, fit.converged, fit.eta_effective) == (
                 alone.k_final, alone.converged, alone.eta_effective)
-        if rule == "mml":
-            # the block held starts of different sizes at some iteration
-            sizes = [[fit.k_initial - sum(len(gone) for at, gone in fit.annihilation_events
-                                          if at <= t)
-                      for fit in block] for t in range(config.short_iters + 1)]
-            assert any(len(set(at_t)) > 1 for at_t in sizes)
 
     def test_run_em_is_the_loop_for_one_model(self, tiny_corpus, tiny_model):
         fit = run_em(tiny_corpus, tiny_model, EmConfig())
@@ -707,6 +701,13 @@ class TestBlockStop:
             assert fit.converged
         assert np.array_equal(block[1].model.log_f, alone[1].model.log_f)
         assert block[1].eta_effective == alone[1].eta_effective
+
+    def test_weight_offset_takes_one_model(self):
+        corpus = random_corpus(60, 24, 80, seed=5)
+        eps = default_floor(corpus.total_tokens)
+        pi, log_f = em._random_init_block(corpus, 3, [40, 42], eps, 1.0)
+        with pytest.raises(ValueError, match="one model"):
+            em._em_loop(corpus, pi, log_f, eps, [40, 42], 10, 0.0, 11.5)
 
 
 class TestConfig:

@@ -164,8 +164,11 @@ class TestModelValidation:
         rng = np.random.default_rng(0)
         k, b = 4, 5  # 5 < 2*4-1
         f = rng.dirichlet(np.ones(b) * 50, size=k)
-        with pytest.warns(IdentifiabilityWarning):
+        with pytest.warns(IdentifiabilityWarning) as record:
             MixtureModel(pi=np.full(k, 0.25), log_f=np.log(f), epsilon=1e-4)
+        # the warning names the caller's line, not the dataclass __init__
+        [warning] = record
+        assert warning.filename == __file__
 
     def test_arrays_read_only(self):
         model = two_component_model()
