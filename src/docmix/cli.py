@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base RNG seed (default 0)")
     common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for each rung's short starts, which "
-                             "run in lockstep groups (at least one per thread); "
-                             "results do not depend on it (default 1)")
+                             "run in lockstep groups sized by memory; results "
+                             "do not depend on it (default 1)")
 
     em_flags = _Parser(add_help=False)
     em_flags.add_argument("--starts", type=_positive_int, default=15,
@@ -353,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     em_flags.add_argument("--short-iters", type=_positive_int, default=10,
                           help="iterations per short run (default 10)")
     em_flags.add_argument("--max-iters", type=_positive_int, default=500,
-                          help="cap on full-EM iterations (default 500)")
+                          help="cap on full-EM iterations after the long run's "
+                               "start and after each threshold removal, which it "
+                               "makes there and wherever it stops (default 500)")
     em_flags.add_argument("--rel-tol", type=float, default=1e-6,
                           help="relative loglik stall tolerance (default 1e-6)")
     em_flags.add_argument("--noise-scale", type=float, default=1.0,

@@ -6,7 +6,8 @@ long phase (_long_phase) continues the best with full EM while
 annihilating weak components. Short starts and long runs are the same
 loop, each iteration one M-step and one E-step, and the E-step scores
 the corpus once; a short start runs exactly short_iters iterations, a
-long run (run_em) stops at the relative stall rel_tol or max_iters.
+long run stops at the relative stall rel_tol or max_iters, unless the
+threshold rule removes components there.
 
 The loop advances a block of S models of one size K in lockstep: their
 parameters are stacked into one (S*K) x B array, so an iteration is one
@@ -17,9 +18,9 @@ iterations or once every model has stalled; no model leaves it early.
 Short starts pass rel_tol 0, so each runs exactly short_iters
 iterations, and run_em is the block of one, so both stop where a model
 run alone would. Under the threshold rule a rung's short starts run as
-a few such blocks: at least one per thread, and more when one (L, S*K)
-array of all S starts would exceed _BLOCK_BYTES, so memory stays flat
-as L, K or S grow. Under the MML rule K shrinks inside the loop, so
+one such block, or as more when one (L, S*K) array of all S starts would
+exceed _BLOCK_BYTES, so memory stays flat as L, K or S grow; threads
+run the blocks at once. Under the MML rule K shrinks inside the loop, so
 each start runs alone. Every kernel gives each model of a block exactly
 the values it gets alone, so neither the thread count nor the grouping
 changes any result. A group that fails reruns its starts one by one, so
@@ -30,16 +31,16 @@ The kernels keep off two underflow slow paths, with results bit for
 bit those of the plain kernels. On long documents the posteriors are
 nearly one-hot, so most shifted scores lie far below -745, where np.exp
 reaches +0.0 through a slow path; both E-step exps skip those inputs
-(mixture._exp_in_place). And the few subnormal
-responsibilities would slow every multiply of X.T @ resp that reads
-them, so the M-step scales them by 2**64 first (_m_step_block).
+(mixture._exp_in_place). And the few subnormal responsibilities would
+slow every multiply of X.T @ resp that reads them, so the M-step scales
+them by 2**64 first (_m_step_block).
 
 Two annihilation rules exist:
 
-- "threshold" (default): between EM runs, delete every component whose
-  weight drops below 1/(annihilation_divisor * k_current), renormalize,
-  and resume from the survivors. The loop ends when a converged run
-  leaves no component under the threshold.
+- "threshold" (default): the long run deletes every component whose
+  weight is below 1/(annihilation_divisor * k_current) from its input
+  model and wherever it would stop, renormalizes, and runs on from the
+  survivors for max_iters more M-steps, until such a check removes none.
 - "mml": the minimum-message-length weight update of Figueiredo & Jain
   (2002, IEEE TPAMI 24(3), eq. 17) inside every M-step,
   pi_k proportional to max(0, n_k - N/2), where n_k is the component's
@@ -64,7 +65,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -294,7 +295,7 @@ def _objective(loglik: float, pi: np.ndarray, weight_offset: float) -> float:
 
 def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
              seeds: list, max_iters: int, rel_tol: float,
-             weight_offset: float = 0.0) -> list[FitResult]:
+             weight_offset: float = 0.0, divisor: float = 0.0) -> list[FitResult]:
     """E and M steps for S models in lockstep; one FitResult per model, in
     input order.
 
@@ -303,17 +304,20 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
     with ``seeds[s]``. The block stops as one: after max_iters M-steps, or
     once every model's relative stall is below rel_tol. Each model's trace
     begins with the one it runs alone; a model that stalls before the
-    others keeps iterating until the block stops. A positive
-    weight_offset (the MML rule) takes a block of one model: every
-    component whose weight the M-step set to 0 is removed at once and
-    recorded as (index of the first trace value computed without it, its
-    indices).
+    others keeps iterating until the block stops.
+
+    A positive weight_offset (MML) or divisor (threshold rule) takes a
+    block of one model. MML removes the components the M-step set to 0;
+    the threshold rule removes those below 1/(divisor * K) from the input
+    model and wherever the loop would stop, then runs on, max_iters
+    M-steps afresh, until such a check removes nothing. Each removal is
+    recorded as (index of the first value computed without them, indices).
     """
     counts = corpus.csr()
     counts_t = counts.T  # once: each .T builds and checks a new csc_matrix
     num_models, num_comps = pi.shape
-    if weight_offset and num_models > 1:
-        raise ValueError(f"a positive weight_offset takes one model, got {num_models}")
+    if (weight_offset or divisor) and num_models > 1:
+        raise ValueError(f"weight_offset or divisor takes one model, got {num_models}")
     k = num_comps
     pi = pi.ravel()
     traces: list[list[float]] = [[] for _ in range(num_models)]
@@ -321,17 +325,8 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
     objective = [0.0] * num_models
     eta = [float("inf")] * num_models
     resp, loglik = _e_step_block(counts, pi, log_f, k)
-    for iteration in range(max_iters + 1):
-        if iteration:
-            pi, log_f = _m_step_block(counts_t, resp, k, epsilon, weight_offset)
-            if weight_offset and not pi.all():
-                live = pi != 0
-                events.append((iteration, np.flatnonzero(~live).tolist()))
-                pi, log_f = pi[live], log_f[live]
-                pi /= pi.sum()
-                k = pi.size
-            _validate_block(pi.reshape(num_models, k), log_f, epsilon)
-            resp, loglik = _e_step_block(counts, pi, log_f, k)
+    iteration = 0
+    while True:
         bad = ~np.isfinite(loglik)
         if bad.any():
             raise NumericalError(f"non-finite log-likelihood {loglik[bad][0]}",
@@ -342,8 +337,26 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
             if iteration:
                 eta[s] = abs(new_objective - objective[s]) / max(abs(objective[s]), 1.0)
             objective[s] = new_objective
-        if iteration == max_iters or max(eta) < rel_tol:
+        stop = iteration == max_iters or max(eta) < rel_tol
+        # the threshold rule checks the input model and each stop
+        live = None
+        if divisor and (stop or len(traces[0]) == 1):
+            live = pi >= 1.0 / (divisor * k)
+        if live is not None and not live.all():
+            iteration, eta = 0, [float("inf")]
+        elif stop:
             break
+        else:
+            iteration += 1
+            pi, log_f = _m_step_block(counts_t, resp, k, epsilon, weight_offset)
+            live = pi != 0 if weight_offset else None
+        if live is not None and not live.all():
+            events.append((len(traces[0]), np.flatnonzero(~live).tolist()))
+            pi, log_f = pi[live], log_f[live]
+            pi /= pi.sum()
+            k = pi.size
+        _validate_block(pi.reshape(num_models, k), log_f, epsilon)
+        resp, loglik = _e_step_block(counts, pi, log_f, k)
     return [FitResult(
         model=MixtureModel(pi=pi[s * k:(s + 1) * k].copy(),
                            log_f=log_f[s * k:(s + 1) * k].copy(), epsilon=epsilon),
@@ -395,19 +408,6 @@ def random_init(corpus: Corpus, num_comps: int, seed, epsilon: float,
     return MixtureModel(pi=pi[0], log_f=log_f, epsilon=epsilon)
 
 
-def _annihilate(model: MixtureModel, divisor: float) -> tuple[MixtureModel, list[int]]:
-    """Delete every component whose weight is below 1/(divisor * K) and
-    renormalize the rest; returns the model and the deleted indices."""
-    below = model.pi < 1.0 / (divisor * model.num_components)
-    if not below.any():
-        return model, []
-    if below.all():
-        raise DegenerateFitError("annihilation removed every component")
-    pi = model.pi[~below]
-    return (MixtureModel(pi=pi / pi.sum(), log_f=model.log_f[~below], epsilon=model.epsilon),
-            np.flatnonzero(below).tolist())
-
-
 def message_length(loglik: float, pi, num_docs: int, num_params: int) -> float:
     """Figueiredo & Jain (2002) eq. 15 for a mixture with weights ``pi``.
 
@@ -424,10 +424,8 @@ def message_length(loglik: float, pi, num_docs: int, num_params: int) -> float:
             - loglik)
 
 
-MAX_ANNIHILATION_ROUNDS = 1000
-
 # Bytes of one (L, S*K) array above which a rung's starts split into more
-# lockstep groups than threads, so that the block's arrays stay this small.
+# than one lockstep group, so that the block's arrays stay this small.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -436,13 +434,14 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
     """Multi-start EM at k_max components with annihilation of weak ones.
 
     Runs config.n_starts short fits (seeds rng_seed + i) and continues
-    the best one with full EM. Under the default "threshold" rule the
-    best start has the highest log-likelihood, and between runs all
-    components whose weight sits below 1/(annihilation_divisor * k_current)
-    are removed in one sweep; the fit stops once a converged run has no
-    component under the threshold. Under the "mml" rule every M-step,
-    short starts included, uses the MML weight update and drops the
-    components it zeroes; the best start has the shortest message length.
+    the best one with one long run of full EM. Under the default
+    "threshold" rule the best start has the highest log-likelihood, and
+    all components whose weight sits below 1/(annihilation_divisor *
+    k_current) are removed in one sweep from the best start and wherever
+    the long run would stop; the fit ends at a stop with none to remove.
+    Under the "mml" rule every M-step, short starts included, uses the MML
+    weight update and drops the components it zeroes; the best start has
+    the shortest message length.
     Each annihilation_events entry is (trace index of the first value
     computed after the removal, removed component indices at that moment).
     """
@@ -472,7 +471,8 @@ def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
                  threads: int) -> list[FitResult]:
     """Every start of a rung (seeds rng_seed + i) run short_iters
     iterations, in lockstep groups under the threshold rule and alone
-    under MML; one FitResult per start, in seed order."""
+    under MML; one FitResult per start, in seed order. The groups are as
+    few as _BLOCK_BYTES allows; threads only size the pool that runs them."""
     weight_offset = config.weight_offset(corpus.num_words)
 
     def run_group(seeds: list[int]) -> list[FitResult]:
@@ -496,7 +496,7 @@ def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
         num_groups = num_starts
     else:
         block_bytes = 8 * corpus.num_docs * k * num_starts
-        num_groups = min(num_starts, max(threads, -(-block_bytes // _BLOCK_BYTES)))
+        num_groups = min(num_starts, -(-block_bytes // _BLOCK_BYTES))
     groups = [[config.rng_seed + i for i in chunk.tolist()]
               for chunk in np.array_split(np.arange(num_starts), num_groups)]
     if threads > 1 and num_groups > 1:
@@ -506,50 +506,20 @@ def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
 
 
 def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult:
-    """Continue ``start`` with full EM until a converged run leaves no
-    component to annihilate; its trace and events come first in the fit's."""
+    """Continue ``start`` with one long run of full EM that annihilates weak
+    components; its trace and events come first in the fit's."""
+    divisor = config.annihilation_divisor if config.annihilation == "threshold" else 0.0
     model = start.model
-    trace = list(start.loglik_trace)
-    events = list(start.annihilation_events)
-    fresh_model = False
-    converged = False
-    eta = start.eta_effective
-    # Sweep first, EM second: the threshold is checked on the multistart
-    # winner before any long run, then after every converged run, so weak
-    # components are culled before they can settle onto a few documents.
-    # The MML rule annihilates inside the EM runs instead.
-    for _ in range(MAX_ANNIHILATION_ROUNDS):
-        removed = []
-        if config.annihilation == "threshold":
-            model, removed = _annihilate(model, config.annihilation_divisor)
-        if removed:
-            events.append((len(trace), removed))
-            fresh_model = True
-        elif converged:
-            break
-        fit = run_em(corpus, model, config)
-        # a run continuing the same model repeats its first value, which
-        # is dropped; its own event indices shift with it
-        offset = len(trace) if fresh_model else len(trace) - 1
-        events.extend((offset + i, gone) for i, gone in fit.annihilation_events)
-        trace.extend(fit.loglik_trace if fresh_model else fit.loglik_trace[1:])
-        model, converged, eta = fit.model, fit.converged, fit.eta_effective
-        fresh_model = False
-    else:
-        raise NumericalError(
-            f"annihilation failed to settle within {MAX_ANNIHILATION_ROUNDS} rounds"
-        )
-
-    return FitResult(
-        model=model,
-        loglik_trace=trace,
-        k_initial=start.k_initial,
-        k_final=model.num_components,
-        annihilation_events=events,
-        seed=config.rng_seed,
-        converged=converged,
-        eta_effective=eta,
-    )
+    [fit] = _em_loop(corpus, model.pi[None], model.log_f, model.epsilon, [config.rng_seed],
+                     config.max_iters, config.rel_tol,
+                     config.weight_offset(corpus.num_words), divisor)
+    # the run's first value rescores start.model, repeating the last value
+    # of start's trace; it is dropped, and the run's event indices shift
+    offset = len(start.loglik_trace) - 1
+    events = [(offset + i, gone) for i, gone in fit.annihilation_events]
+    return replace(fit, loglik_trace=start.loglik_trace + fit.loglik_trace[1:],
+                   k_initial=start.k_initial,
+                   annihilation_events=start.annihilation_events + events)
 
 
 def _config_record(config: EmConfig) -> dict:

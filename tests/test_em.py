@@ -13,7 +13,6 @@ import docmix.em as em
 import docmix.mixture as mixture
 from docmix.em import (
     EmConfig,
-    _annihilate,
     dumps_run_log,
     e_step,
     m_step,
@@ -28,7 +27,7 @@ from docmix.errors import (
     InfeasibleFloorError,
     NumericalError,
 )
-from docmix.mixture import FLOOR_SLACK, MixtureModel, default_floor, log_likelihood
+from docmix.mixture import FLOOR_SLACK, default_floor, log_likelihood
 
 from conftest import random_corpus
 
@@ -353,32 +352,27 @@ class TestShortEm:
         np.testing.assert_allclose(init.densities.sum(axis=1), 1.0, atol=1e-9)
 
 
-class TestAnnihilate:
-    def build(self, pi):
+class TestThresholdRemoval:
+    def run(self, pi):
+        corpus = random_corpus(20, 12, 30, seed=4)
         k = len(pi)
-        f = np.full((k, 12), 1 / 12)
-        return MixtureModel(pi=np.asarray(pi), log_f=np.log(f), epsilon=1e-3)
+        log_f = np.log(np.full((k, 12), 1 / 12))
+        [fit] = em._em_loop(corpus, np.asarray([pi]), log_f, 1e-3, [0], 5, 1e-6,
+                            divisor=100.0)
+        return fit
 
     def test_removes_all_below_in_one_sweep(self):
-        model = self.build([0.5, 0.4985, 0.0005, 0.001])
-        pruned, removed = _annihilate(model, 100.0)
-        # threshold 1/(100*4) = 0.0025 catches both small components
-        assert removed == [2, 3]
-        assert pruned.num_components == 2
-        assert abs(pruned.pi.sum() - 1.0) < 1e-12
+        fit = self.run([0.5, 0.4985, 0.0005, 0.001])
+        # threshold 1/(100*4) = 0.0025 catches both small components at
+        # the input model; the survivors are scored as the second value
+        assert fit.annihilation_events == [(1, [2, 3])]
+        assert fit.k_final == 2
+        assert abs(fit.model.pi.sum() - 1.0) < 1e-12
 
     def test_no_removal_below_divisor(self):
-        model = self.build([0.7, 0.29, 0.01])
-        pruned, removed = _annihilate(model, 100.0)
-        assert removed == []
-        assert pruned is model
-
-    def test_all_removed_raises(self):
-        # the guard is defensive: with any divisor > 1 the largest weight
-        # exceeds 1/(divisor*K), so only a sub-unit divisor can trip it
-        model = self.build([0.25, 0.25, 0.25, 0.25])
-        with pytest.raises(DegenerateFitError):
-            _annihilate(model, 0.9)
+        fit = self.run([0.7, 0.29, 0.01])
+        assert fit.annihilation_events == []
+        assert fit.k_final == 3
 
 
 class TestRobustEm:
@@ -411,6 +405,37 @@ class TestRobustEm:
                           short_iters=7)
         fit = robust_em(planted.corpus, 6, config)
         assert fit.annihilation_events == [(8, [4])]
+
+    @staticmethod
+    def removal_after_a_run(**overrides):
+        mix = dm.planted_mixture(3, 12, seed=np.random.SeedSequence((45, 21)))
+        planted = dm.generate_corpus(mix, 27, (5, 60),
+                                     seed=np.random.SeedSequence((45, 22)))
+        config = EmConfig(rng_seed=45, init_noise_scale=4.0, n_starts=5,
+                          annihilation_divisor=10.0, **overrides)
+        # B=12 words identify at most 6 components
+        with pytest.warns(mixture.IdentifiabilityWarning):
+            return robust_em(planted.corpus, 10, config)
+
+    def test_removal_after_a_converged_run(self):
+        # the long run converges with component 0 under the threshold: it
+        # is removed there and the run goes on from the seven survivors
+        fit = self.removal_after_a_run()
+        assert fit.annihilation_events == [(11, [6, 9]), (16, [0])]
+        assert fit.k_final == 7
+        assert len(fit.loglik_trace) == 19
+        assert fit.converged
+        fit.model.validate()
+
+    def test_max_iters_counts_from_the_last_removal(self):
+        fit = self.removal_after_a_run(max_iters=1)
+        assert fit.annihilation_events == [(11, [6, 9]), (13, [0])]
+        # one M-step after each removal, and the run ends unconverged
+        # where a check removes nothing
+        last_removal = fit.annihilation_events[-1][0]
+        assert len(fit.loglik_trace) - 1 - last_removal <= 1
+        assert len(fit.loglik_trace) == 15
+        assert not fit.converged
 
     def test_determinism(self, tiny_corpus):
         a = robust_em(tiny_corpus, 3, EmConfig(rng_seed=12))
@@ -708,6 +733,8 @@ class TestBlockStop:
         pi, log_f = em._random_init_block(corpus, 3, [40, 42], eps, 1.0)
         with pytest.raises(ValueError, match="one model"):
             em._em_loop(corpus, pi, log_f, eps, [40, 42], 10, 0.0, 11.5)
+        with pytest.raises(ValueError, match="one model"):
+            em._em_loop(corpus, pi, log_f, eps, [40, 42], 10, 1e-6, divisor=100.0)
 
 
 class TestConfig:
