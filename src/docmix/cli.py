@@ -2,7 +2,8 @@
 
 Every command is deterministic given its flags and --seed. Exit codes:
 0 success, 1 usage, 2 data error, 3 numerical failure. All files are
-written atomically (temp file + rename).
+written atomically (temp file + rename). Each subcommand is one
+``cmd_<name>(args)``, looked up when ``build_parser`` runs.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .corpus import (
-    Corpus,
     atomic_write_text,
     load_corpus,
     load_year_sidecar,
@@ -26,17 +26,15 @@ from .corpus import (
     prune_vocabulary,
     save_corpus,
 )
-from .em import EmConfig, e_step, save_fit
+from .em import EmConfig, dumps_run_log, e_step
 from .errors import (
     ConfigError,
     DegenerateFitError,
     DocmixError,
     NumericalError,
 )
-from .mixture import MixtureModel, load_model, map_assign
+from .mixture import dumps_model, load_model, map_assign
 from .selection import (
-    SelectionReport,
-    SweepResult,
     derive_seed,
     dumps_selection_report,
     load_sweep,
@@ -49,69 +47,81 @@ from .synth import evaluate_run, generate_corpus, planted_mixture
 SYNTH_SCHEMA_VERSION = 1
 
 
-def cmd_ingest(docword_path, vocab_path, max_doc_fraction: float, top_b: int,
-               out_path) -> Corpus:
-    with open(docword_path, encoding="utf-8") as docword:
-        with open(vocab_path, encoding="utf-8") as vocab:
+def cmd_ingest(args) -> None:
+    with open(args.docword, encoding="utf-8") as docword:
+        with open(args.vocab, encoding="utf-8") as vocab:
             corpus = parse_bag_of_words(docword, vocab)
-    pruned = prune_vocabulary(corpus, max_doc_fraction, top_b)
-    save_corpus(pruned, out_path)
-    return pruned
+    pruned = prune_vocabulary(corpus, args.max_doc_fraction, args.top_b)
+    save_corpus(pruned, args.out)
+    print(f"ingested {pruned.num_docs} docs, {pruned.num_words} words, "
+          f"{pruned.total_tokens} tokens "
+          f"({len(pruned.dropped_doc_ids)} docs emptied by pruning)")
 
 
-def cmd_sweep(corpus_path, k_ladder, config: EmConfig, out_path,
-              epsilon: float | None = None, threads: int = 1,
-              fits_dir=None) -> tuple[SweepResult, list[tuple[int, str]]]:
-    corpus = load_corpus(corpus_path)
-    sweep, failures = run_sweep(corpus, k_ladder, config,
-                                epsilon=epsilon, threads=threads)
-    save_sweep(sweep, out_path)
-    if fits_dir is not None:
-        os.makedirs(fits_dir, exist_ok=True)
+def cmd_sweep(args) -> None:
+    # --kmax stays a range: an oversized one is rejected below, never listed
+    ladder = args.ladder if args.ladder is not None else range(1, args.kmax + 1)
+    config = EmConfig(
+        n_starts=args.starts,
+        short_iters=args.short_iters,
+        max_iters=args.max_iters,
+        rel_tol=args.rel_tol,
+        rng_seed=args.seed,
+        init_noise_scale=args.noise_scale,
+    )
+    corpus = load_corpus(args.corpus)
+    k_top = args.kmax if args.ladder is None else max(args.ladder)
+    if k_top > corpus.num_docs:
+        raise ValueError(f"rung K={k_top} exceeds num_docs = {corpus.num_docs}")
+    sweep, failures = run_sweep(corpus, ladder, config,
+                                epsilon=args.epsilon, threads=args.threads)
+    save_sweep(sweep, args.out)
+    if args.fits_dir is not None:
+        os.makedirs(args.fits_dir, exist_ok=True)
         for entry in sweep.entries:
-            if entry.fit is None:
-                continue
-            stem = os.path.join(fits_dir, f"fit_K{entry.num_comps}")
-            save_fit(entry.fit, stem + ".model.json", stem + ".runlog.json", config)
-    return sweep, failures
+            stem = os.path.join(args.fits_dir, f"fit_K{entry.num_comps}")
+            atomic_write_text(stem + ".model.json", dumps_model(entry.fit.model))
+            atomic_write_text(stem + ".runlog.json", dumps_run_log(entry.fit, config))
+    for k_max, message in failures:
+        print(f"rung {k_max} failed: {message}", file=sys.stderr)
+    print(f"swept {len(ladder)} rungs into {len(sweep)} distinct K "
+          f"({len(failures)} failures)")
 
 
-def cmd_select(sweep_csv_path, mode: str, out_path, *,
-               total_tokens: int | None = None, num_docs: int | None = None,
-               corpus_path=None, multiplier: float = 1.0,
-               plateau_tol: float = 0.05,
-               slope_shape: str = "dimension") -> SelectionReport:
-    sweep = load_sweep(sweep_csv_path)
-    if corpus_path is not None:
-        corpus = load_corpus(corpus_path)
-        total_tokens = corpus.total_tokens
-        num_docs = corpus.num_docs
-    report = select_from_sweep(sweep, mode, total_tokens=total_tokens,
-                               num_docs=num_docs, multiplier=multiplier,
-                               plateau_tol=plateau_tol, slope_shape=slope_shape)
-    atomic_write_text(out_path, dumps_selection_report(report))
-    return report
+def cmd_select(args) -> None:
+    sweep = load_sweep(args.sweep)
+    total_tokens, num_docs = args.tokens, args.docs
+    if args.corpus is not None:
+        corpus = load_corpus(args.corpus)
+        total_tokens, num_docs = corpus.total_tokens, corpus.num_docs
+    report = select_from_sweep(sweep, args.mode, total_tokens=total_tokens,
+                               num_docs=num_docs, multiplier=args.multiplier,
+                               plateau_tol=args.plateau_tol,
+                               slope_shape=args.slope_shape)
+    atomic_write_text(args.out, dumps_selection_report(report))
+    lam = "" if report.lambda_min is None else f", lambda_min={report.lambda_min:.6g}"
+    print(f"K_hat={report.k_hat} (mode={report.mode}{lam})")
 
 
-@dataclass(frozen=True)
-class TopicReport:
-    top_words: tuple[tuple[tuple[str, float], ...], ...]
-    cluster_weights: tuple[float, ...]
-    yearly: tuple[tuple[int, tuple[float, ...]], ...] | None
-    docs_without_year: int
+def cmd_report(args) -> None:
+    corpus = load_corpus(args.corpus)
+    model = load_model(args.model)
+    if model.num_words != corpus.num_words:
+        raise ValueError(
+            f"model has {model.num_words} words but corpus has {corpus.num_words}"
+        )
+    years = corpus.doc_years
+    if args.metadata is not None:
+        years = load_year_sidecar(args.metadata)
 
-
-def build_topic_report(corpus: Corpus, model: MixtureModel,
-                       years: dict[int, int] | None, top_m: int) -> TopicReport:
+    # everything that can fail runs before the first file is written
     densities = model.densities
     top_words = []
     for k in range(model.num_components):
-        order = np.argsort(-densities[k], kind="stable")[:top_m]
-        top_words.append(tuple(
-            (corpus.vocab[int(b)], float(densities[k][b])) for b in order
-        ))
-
-    yearly = None
+        order = np.argsort(-densities[k], kind="stable")[:args.top_m]
+        top_words.extend([k, rank, corpus.vocab[int(b)], repr(float(densities[k][b]))]
+                         for rank, b in enumerate(order, start=1))
+    evolution = None
     missing = 0
     if years is not None:
         resp, _ = e_step(corpus, model)
@@ -122,49 +132,25 @@ def build_topic_report(corpus: Corpus, model: MixtureModel,
                 missing += 1
             else:
                 by_year.setdefault(year, []).append(row)
-        yearly = tuple(
-            (year, tuple(resp[rows].mean(axis=0).tolist()))
-            for year, rows in sorted(by_year.items())
-        )
-    return TopicReport(
-        top_words=tuple(top_words),
-        cluster_weights=tuple(model.pi.tolist()),
-        yearly=yearly,
-        docs_without_year=missing,
-    )
-
-
-def cmd_report(corpus_path, model_path, out_dir, metadata_path=None,
-               top_m: int = 12) -> TopicReport:
-    corpus = load_corpus(corpus_path)
-    model = load_model(model_path)
-    if model.num_words != corpus.num_words:
-        raise ValueError(
-            f"model has {model.num_words} words but corpus has {corpus.num_words}"
-        )
-    years = None
-    if metadata_path is not None:
-        years = load_year_sidecar(metadata_path)
-    elif corpus.doc_years is not None:
-        years = corpus.doc_years
-    report = build_topic_report(corpus, model, years, top_m)
-
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "topwords.csv"), ["cluster", "rank", "word", "probability"],
-               ([k, rank, word, repr(prob)] for k, words in enumerate(report.top_words)
-                for rank, (word, prob) in enumerate(words, start=1)))
-    _write_csv(os.path.join(out_dir, "clusters.csv"), ["cluster", "weight"],
-               ([k, repr(weight)] for k, weight in enumerate(report.cluster_weights)))
+        evolution = [[year, k, repr(mean)] for year, rows in sorted(by_year.items())
+                     for k, mean in enumerate(resp[rows].mean(axis=0).tolist())]
     labels = map_assign(corpus, model).labels
-    _write_csv(os.path.join(out_dir, "assignments.csv"), ["doc_id", "cluster"],
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    _write_csv(os.path.join(args.out_dir, "topwords.csv"),
+               ["cluster", "rank", "word", "probability"], top_words)
+    _write_csv(os.path.join(args.out_dir, "clusters.csv"), ["cluster", "weight"],
+               ([k, repr(weight)] for k, weight in enumerate(model.pi.tolist())))
+    _write_csv(os.path.join(args.out_dir, "assignments.csv"), ["doc_id", "cluster"],
                zip(corpus.doc_ids, labels.tolist()))
-    if report.yearly is not None:
-        _write_csv(os.path.join(out_dir, "evolution.csv"), ["year", "cluster", "mean_posterior"],
-                   ([year, k, repr(mean)] for year, means in report.yearly
-                    for k, mean in enumerate(means)),
+    if evolution is not None:
+        _write_csv(os.path.join(args.out_dir, "evolution.csv"),
+                   ["year", "cluster", "mean_posterior"], evolution,
                    preamble="# per-year mean of per-document posteriors;"
                             " documents are unweighted by length\n")
-    return report
+    note = f" ({missing} docs had no year)" if missing else ""
+    print(f"wrote reports for {model.num_components} clusters "
+          f"to {args.out_dir}{note}")
 
 
 def _write_csv(path, header: list[str], rows, preamble: str = "") -> None:
@@ -254,10 +240,10 @@ def load_synth_config(path) -> dict:
     return out
 
 
-def cmd_synth(config_path, out_dir, threads: int = 1) -> list[dict]:
+def cmd_synth(args) -> None:
     """Generate, sweep, select, and evaluate once per seed; write summary.csv."""
-    config = load_synth_config(config_path)
-    os.makedirs(out_dir, exist_ok=True)
+    config = load_synth_config(args.config)
+    os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for seed in config["seeds"]:
         mixture = planted_mixture(
@@ -271,7 +257,7 @@ def cmd_synth(config_path, out_dir, threads: int = 1) -> list[dict]:
                                   seed=np.random.SeedSequence((seed, 2)))
         em_config = replace(config["em"], rng_seed=derive_seed(seed, 3))
         sweep, failures = run_sweep(planted.corpus, config["ladder"], em_config,
-                                    epsilon=config["epsilon"], threads=threads)
+                                    epsilon=config["epsilon"], threads=args.threads)
         for k_max, message in failures:
             print(f"seed {seed}: rung {k_max} failed: {message}", file=sys.stderr)
         report = select_from_sweep(sweep, config["mode"],
@@ -285,10 +271,11 @@ def cmd_synth(config_path, out_dir, threads: int = 1) -> list[dict]:
             "risk": float(evaluation.risk),
             "agreement": float(evaluation.agreement),
         })
-    _write_csv(os.path.join(out_dir, "summary.csv"), ["seed", "K_hat", "risk", "agreement"],
+    summary_path = os.path.join(args.out_dir, "summary.csv")
+    _write_csv(summary_path, ["seed", "K_hat", "risk", "agreement"],
                ([row["seed"], row["K_hat"], repr(row["risk"]), repr(row["agreement"])]
                 for row in rows))
-    return rows
+    print(f"ran {len(rows)} seeds; summary in {summary_path}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -375,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output corpus path")
     p.add_argument("--max-doc-fraction", type=float, default=0.8,
                    help="drop words in more than this fraction of docs (default 0.8)")
-    p.add_argument("--top-b", type=int, default=300,
+    p.add_argument("--top-b", type=_positive_int, default=300,
                    help="keep this many most frequent words (default 300)")
-    p.set_defaults(func=_run_ingest)
+    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("sweep", parents=[common, em_flags],
                        help="fit a ladder of component counts")
@@ -389,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit comma-separated ladder (overrides --kmax)")
     p.add_argument("--fits-dir", default=None,
                    help="also save per-K model and run-log files here")
-    p.set_defaults(func=_run_sweep)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("select", parents=[common],
                        help="pick the component count from a sweep CSV")
@@ -410,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope-shape", choices=["dimension", "theoretical"],
                    default="dimension",
                    help="penalty shape used by slope mode")
-    p.set_defaults(func=_run_select)
+    p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("report", parents=[common],
                        help="top words, assignments, and yearly evolution")
@@ -418,98 +405,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model file from sweep --fits-dir")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--metadata", default=None, help="doc_id,year CSV sidecar")
-    p.add_argument("--top-m", type=int, default=12,
+    p.add_argument("--top-m", type=_positive_int, default=12,
                    help="words listed per cluster (default 12)")
-    p.set_defaults(func=_run_report)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", parents=[common],
                        help="planted-mixture experiment from a config file")
     p.add_argument("config", help="experiment config JSON")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_run_synth)
+    p.set_defaults(func=cmd_synth)
     return parser
-
-
-def _run_ingest(args) -> None:
-    corpus = cmd_ingest(args.docword, args.vocab, args.max_doc_fraction,
-                        args.top_b, args.out)
-    print(f"ingested {corpus.num_docs} docs, {corpus.num_words} words, "
-          f"{corpus.total_tokens} tokens "
-          f"({len(corpus.dropped_doc_ids)} docs emptied by pruning)")
-
-
-def _em_config_from(args) -> EmConfig:
-    return EmConfig(
-        n_starts=args.starts,
-        short_iters=args.short_iters,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        rng_seed=args.seed,
-        init_noise_scale=args.noise_scale,
-    )
-
-
-def _run_sweep(args) -> None:
-    ladder = args.ladder if args.ladder is not None else list(range(1, args.kmax + 1))
-    sweep, failures = cmd_sweep(args.corpus, ladder, _em_config_from(args),
-                                args.out, epsilon=args.epsilon,
-                                threads=args.threads, fits_dir=args.fits_dir)
-    for k_max, message in failures:
-        print(f"rung {k_max} failed: {message}", file=sys.stderr)
-    print(f"swept {len(ladder)} rungs into {len(sweep)} distinct K "
-          f"({len(failures)} failures)")
-
-
-def _run_select(args) -> None:
-    report = cmd_select(args.sweep, args.mode, args.out,
-                        total_tokens=args.tokens, num_docs=args.docs,
-                        corpus_path=args.corpus, multiplier=args.multiplier,
-                        plateau_tol=args.plateau_tol,
-                        slope_shape=args.slope_shape)
-    lam = "" if report.lambda_min is None else f", lambda_min={report.lambda_min:.6g}"
-    print(f"K_hat={report.k_hat} (mode={report.mode}{lam})")
-
-
-def _run_report(args) -> None:
-    report = cmd_report(args.corpus, args.model, args.out_dir,
-                        metadata_path=args.metadata, top_m=args.top_m)
-    note = ""
-    if report.yearly is not None and report.docs_without_year:
-        note = f" ({report.docs_without_year} docs had no year)"
-    print(f"wrote reports for {len(report.cluster_weights)} clusters "
-          f"to {args.out_dir}{note}")
-
-
-def _run_synth(args) -> None:
-    rows = cmd_synth(args.config, args.out_dir, threads=args.threads)
-    print(f"ran {len(rows)} seeds; summary in "
-          f"{os.path.join(args.out_dir, 'summary.csv')}")
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep" and args.kmax is None and args.ladder is None:
-        parser.error("sweep needs --kmax or --ladder")
-    try:
-        args.func(args)
-    except (NumericalError, DegenerateFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DocmixError, OSError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 def run(argv=None) -> int:
     try:
-        return main(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "sweep" and args.kmax is None and args.ladder is None:
+            parser.error("sweep needs --kmax or --ladder")
+        args.func(args)
     except SystemExit as exc:
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
+    except (DocmixError, OSError, ValueError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, (NumericalError, DegenerateFitError)) else 2
+    return 0
 
 
 if __name__ == "__main__":

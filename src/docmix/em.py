@@ -63,13 +63,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, atomic_write_text
+from .corpus import Corpus
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -84,7 +83,6 @@ from .mixture import (  # score_matrix is also reached as docmix.em.score_matrix
     _scores,
     _validate_block,
     default_floor,
-    dumps_model,
     score_matrix,
 )
 
@@ -546,9 +544,3 @@ def dumps_run_log(fit: FitResult, config: EmConfig | None = None) -> str:
         "config": _config_record(config) if config is not None else None,
     }
     return json.dumps(payload, separators=(",", ":"))
-
-
-def save_fit(fit: FitResult, model_path: str | os.PathLike,
-             log_path: str | os.PathLike, config: EmConfig | None = None) -> None:
-    atomic_write_text(model_path, dumps_model(fit.model))
-    atomic_write_text(log_path, dumps_run_log(fit, config))

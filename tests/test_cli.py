@@ -27,6 +27,18 @@ def planted_setup(tmp_path):
     return planted, corpus_path
 
 
+@pytest.fixture
+def fitted_setup(planted_setup, tmp_path):
+    """planted_setup's corpus, its K=1,2 sweep CSV and the K=2 model file."""
+    _, corpus_path = planted_setup
+    sweep_path = tmp_path / "fitted_sweep.csv"
+    fits_dir = tmp_path / "fits"
+    assert cli.run(["sweep", str(corpus_path), "--out", str(sweep_path),
+                    "--ladder", "1,2", "--starts", "3", "--fits-dir",
+                    str(fits_dir)]) == 0
+    return corpus_path, sweep_path, fits_dir / "fit_K2.model.json"
+
+
 def test_cli_starts_without_oracle_and_matching_imports():
     # scipy.optimize and mpmath serve only label matching and the 50-digit oracle
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -38,22 +50,26 @@ def test_cli_starts_without_oracle_and_matching_imports():
 
 
 class TestIngest:
-    def test_end_to_end(self, uci_files, tmp_path):
+    def test_end_to_end(self, uci_files, tmp_path, capsys):
         docword, vocab = uci_files
         out = tmp_path / "corpus.json"
         code = cli.run(["ingest", str(docword), str(vocab), "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().out == (
+            "ingested 3 docs, 5 words, 10 tokens (0 docs emptied by pruning)\n")
         corpus = load_corpus(out)
         assert corpus.num_docs == 3
         assert corpus.num_words == 5
 
-    def test_prune_flags(self, uci_files, tmp_path):
+    def test_prune_flags(self, uci_files, tmp_path, capsys):
         docword, vocab = uci_files
         out = tmp_path / "corpus.json"
         # "alpha" appears in 2 of 3 docs; a 0.5 ceiling removes it
         code = cli.run(["ingest", str(docword), str(vocab), "--out", str(out),
                         "--max-doc-fraction", "0.5", "--top-b", "2"])
         assert code == 0
+        assert capsys.readouterr().out == (
+            "ingested 1 docs, 2 words, 3 tokens (2 docs emptied by pruning)\n")
         corpus = load_corpus(out)
         assert "alpha" not in corpus.vocab.words
         assert corpus.num_words == 2
@@ -86,7 +102,7 @@ class TestIngest:
 
 
 class TestSweepSelect:
-    def test_pipeline(self, planted_setup, tmp_path):
+    def test_pipeline(self, planted_setup, tmp_path, capsys):
         _, corpus_path = planted_setup
         sweep_path = tmp_path / "sweep.csv"
         fits_dir = tmp_path / "fits"
@@ -99,6 +115,8 @@ class TestSweepSelect:
         assert rows[0] == ["K", "D_K", "min_contrast"]
         ks = [int(r[0]) for r in rows[1:]]
         assert ks == sorted(set(ks))
+        assert capsys.readouterr().out == (
+            f"swept 5 rungs into {len(ks)} distinct K (0 failures)\n")
         for k in ks:
             model_path = fits_dir / f"fit_K{k}.model.json"
             runlog_path = fits_dir / f"fit_K{k}.runlog.json"
@@ -117,6 +135,8 @@ class TestSweepSelect:
         assert report["K_hat"] in ks
         assert report["lambda_min"] > 0
         assert len(report["criteria"]) == len(ks)
+        assert capsys.readouterr().out == (
+            f"K_hat={report['K_hat']} (mode=slope, lambda_min={report['lambda_min']:.6g})\n")
 
     def test_ladder_flag(self, planted_setup, tmp_path):
         _, corpus_path = planted_setup
@@ -174,6 +194,20 @@ class TestSweepSelect:
                         *flags])
         assert code == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("flags,k", [
+        (["--kmax", "41"], 41),
+        (["--kmax", str(10**30)], 10**30),  # far too long a range() to list
+        (["--ladder", "2,41,3"], 41),
+    ], ids=["kmax", "huge-kmax", "ladder"])
+    def test_rung_above_num_docs_is_data_error(self, planted_setup, tmp_path, capsys,
+                                               flags, k):
+        _, corpus_path = planted_setup
+        code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
+                        *flags, "--starts", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: rung K={k} exceeds num_docs = 40\n"
         assert not (tmp_path / "s.csv").exists()
 
     def test_bad_epsilon_flag(self, planted_setup, tmp_path):
@@ -240,9 +274,54 @@ class TestUsageErrors:
         docword, vocab = uci_files
         assert cli.run(["ingest", str(docword), str(vocab)]) == 1
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("ingest", "--top-b", "0"),
+        ("report", "--top-m", "0"),
+        ("report", "--top-m", "-298"),
+    ])
+    def test_bad_top_flag(self, uci_files, fitted_setup, tmp_path, capsys,
+                          command, flag, value):
+        docword, vocab = uci_files
+        corpus_path, _, model_path = fitted_setup
+        out = tmp_path / "out"
+        argv = {"ingest": ["ingest", str(docword), str(vocab), "--out", str(out)],
+                "report": ["report", str(corpus_path), str(model_path),
+                           "--out-dir", str(out)]}[command]
+        capsys.readouterr()
+        assert cli.run([*argv, flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "sweep", "select", "report"])
+def test_run_calls_the_module_level_cmd(command, uci_files, fitted_setup, tmp_path,
+                                        monkeypatch):
+    # benches/tracing.py times each step by replacing cli.cmd_<name> on the module
+    docword, vocab = uci_files
+    corpus_path, sweep_path, model_path = fitted_setup
+    argv = {
+        "ingest": ["ingest", str(docword), str(vocab), "--out", str(tmp_path / "c.json")],
+        "sweep": ["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
+                  "--ladder", "1", "--starts", "1"],
+        "select": ["select", str(sweep_path), "--out", str(tmp_path / "r.json"),
+                   "--mode", "bic", "--corpus", str(corpus_path)],
+        "report": ["report", str(corpus_path), str(model_path),
+                   "--out-dir", str(tmp_path / "report")],
+    }[command]
+    original = getattr(cli, f"cmd_{command}")
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(command)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, f"cmd_{command}", recorder)
+    assert cli.run(argv) == 0
+    assert calls == [command]
+
 
 class TestReport:
-    def test_outputs(self, planted_setup, tmp_path):
+    def test_outputs(self, planted_setup, tmp_path, capsys):
         _, corpus_path = planted_setup
         sweep_path = tmp_path / "sweep.csv"
         fits_dir = tmp_path / "fits"
@@ -255,10 +334,12 @@ class TestReport:
         corpus = load_corpus(corpus_path)
         meta.write_text("doc_id,year\n" + "".join(
             f"{doc_id},{1990 + doc_id % 5}\n" for doc_id in corpus.doc_ids))
+        capsys.readouterr()
         code = cli.run(["report", str(corpus_path), str(model_path),
                         "--out-dir", str(out_dir), "--metadata", str(meta),
                         "--top-m", "4"])
         assert code == 0
+        assert capsys.readouterr().out == f"wrote reports for 2 clusters to {out_dir}\n"
 
         with open(out_dir / "topwords.csv") as handle:
             rows = list(csv.reader(handle))
@@ -300,6 +381,21 @@ class TestReport:
         assert code == 0
         assert not (out_dir / "evolution.csv").exists()
 
+    def test_missing_year_is_noted(self, fitted_setup, tmp_path, capsys):
+        corpus_path, _, model_path = fitted_setup
+        corpus = load_corpus(corpus_path)
+        meta = tmp_path / "years.csv"
+        meta.write_text("doc_id,year\n" + "".join(
+            f"{doc_id},1990\n" for doc_id in corpus.doc_ids[1:]))
+        out_dir = tmp_path / "report"
+        capsys.readouterr()
+        code = cli.run(["report", str(corpus_path), str(model_path),
+                        "--out-dir", str(out_dir), "--metadata", str(meta)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"wrote reports for 2 clusters to {out_dir} (1 docs had no year)\n")
+        assert (out_dir / "evolution.csv").exists()
+
     def test_mismatched_model_is_data_error(self, planted_setup, uci_files,
                                             tmp_path):
         _, corpus_path = planted_setup
@@ -337,11 +433,13 @@ def synth_config(tmp_path, **overrides):
 
 
 class TestSynth:
-    def test_summary_written(self, tmp_path):
+    def test_summary_written(self, tmp_path, capsys):
         path = synth_config(tmp_path)
         out_dir = tmp_path / "out"
         code = cli.run(["synth", str(path), "--out-dir", str(out_dir)])
         assert code == 0
+        assert capsys.readouterr().out == (
+            f"ran 2 seeds; summary in {out_dir / 'summary.csv'}\n")
         with open(out_dir / "summary.csv") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["seed", "K_hat", "risk", "agreement"]
