@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Score the four selection modes on the same planted-mixture sweeps.
+"""Score every selection mode on the same planted-mixture sweeps.
 
 One sweep per seed is fitted once and then scored by every mode, so the
 comparison isolates the selection rule from EM noise. Prints a per-mode
@@ -21,9 +21,7 @@ from docmix import (
     run_sweep,
     select_from_sweep,
 )
-from docmix.selection import derive_seed
-
-MODES = ("slope", "theoretical", "aic", "bic")
+from docmix.selection import MODES, derive_seed
 
 
 def main(argv=None):

@@ -1,6 +1,6 @@
 """Command-line pipeline: ingest, sweep, select, report, synth.
 
-Every command is deterministic given its flags and --seed. Exit codes:
+Every command is deterministic given its inputs and flags. Exit codes:
 0 success, 1 usage, 2 data error, 3 numerical failure. All files are
 written atomically (temp file + rename). Each subcommand is one
 ``cmd_<name>(args)``, looked up when ``build_parser`` runs.
@@ -35,6 +35,8 @@ from .errors import (
 )
 from .mixture import dumps_model, load_model, map_assign
 from .selection import (
+    MODES,
+    SLOPE_SHAPES,
     derive_seed,
     dumps_selection_report,
     load_sweep,
@@ -235,7 +237,7 @@ def load_synth_config(path) -> dict:
         out["em"] = EmConfig(**em_overrides)
     except TypeError as exc:
         raise ConfigError(str(exc), field="em") from exc
-    if out["mode"] not in ("slope", "theoretical", "aic", "bic"):
+    if out["mode"] not in MODES:
         raise ConfigError(f"unknown mode {out['mode']!r}", field="mode")
     return out
 
@@ -326,37 +328,15 @@ def _ladder_flag(value: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="base RNG seed (default 0)")
-    common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for each rung's short starts, which "
-                             "run in lockstep groups sized by memory; results "
-                             "do not depend on it (default 1)")
-
-    em_flags = _Parser(add_help=False)
-    em_flags.add_argument("--starts", type=_positive_int, default=15,
-                          help="number of short-EM starts (default 15)")
-    em_flags.add_argument("--short-iters", type=_positive_int, default=10,
-                          help="iterations per short run (default 10)")
-    em_flags.add_argument("--max-iters", type=_positive_int, default=500,
-                          help="cap on full-EM iterations after the long run's "
-                               "start and after each threshold removal, which it "
-                               "makes there and wherever it stops (default 500)")
-    em_flags.add_argument("--rel-tol", type=float, default=1e-6,
-                          help="relative loglik stall tolerance (default 1e-6)")
-    em_flags.add_argument("--noise-scale", type=float, default=1.0,
-                          help="lognormal sigma of the random-start densities")
-    em_flags.add_argument("--epsilon", type=_epsilon_flag, default=None,
-                          help="density floor: '1/n' (default) or a float in (0,1)")
-
     parser = _Parser(prog="docmix",
                      description="Mixture clustering of count vectors with "
                                  "penalized selection of the component count")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    threads_help = ("worker threads for each rung's short starts, which run in "
+                    "lockstep groups sized by memory; results do not depend on it "
+                    "(default 1)")
 
-    p = sub.add_parser("ingest", parents=[common],
-                       help="parse and prune a bag-of-words corpus")
+    p = sub.add_parser("ingest", help="parse and prune a bag-of-words corpus")
     p.add_argument("docword", help="docword file: D, W, NNZ headers then triples")
     p.add_argument("vocab", help="vocabulary file, one token per line")
     p.add_argument("--out", required=True, help="output corpus path")
@@ -366,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep this many most frequent words (default 300)")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("sweep", parents=[common, em_flags],
-                       help="fit a ladder of component counts")
+    p = sub.add_parser("sweep", help="fit a ladder of component counts")
     p.add_argument("corpus", help="corpus file from ingest")
     p.add_argument("--out", required=True, help="output sweep CSV path")
     p.add_argument("--kmax", type=_positive_int, default=None,
@@ -376,14 +355,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit comma-separated ladder (overrides --kmax)")
     p.add_argument("--fits-dir", default=None,
                    help="also save per-K model and run-log files here")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    p.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
+    p.add_argument("--starts", type=_positive_int, default=15,
+                   help="number of short-EM starts (default 15)")
+    p.add_argument("--short-iters", type=_positive_int, default=10,
+                   help="iterations per short run (default 10)")
+    p.add_argument("--max-iters", type=_positive_int, default=500,
+                   help="cap on full-EM iterations after the long run's start and "
+                        "after each threshold removal, which it makes there and "
+                        "wherever it stops (default 500)")
+    p.add_argument("--rel-tol", type=float, default=1e-6,
+                   help="relative loglik stall tolerance (default 1e-6)")
+    p.add_argument("--noise-scale", type=float, default=1.0,
+                   help="lognormal sigma of the random-start densities")
+    p.add_argument("--epsilon", type=_epsilon_flag, default=None,
+                   help="density floor: '1/n' (default) or a float in (0,1)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("select", parents=[common],
-                       help="pick the component count from a sweep CSV")
+    p = sub.add_parser("select", help="pick the component count from a sweep CSV")
     p.add_argument("sweep", help="sweep CSV from the sweep command")
     p.add_argument("--out", required=True, help="output report JSON path")
-    p.add_argument("--mode", choices=["slope", "theoretical", "aic", "bic"],
-                   default="slope")
+    p.add_argument("--mode", choices=MODES, default="slope")
     p.add_argument("--corpus", default=None,
                    help="corpus file, read for token/doc counts")
     p.add_argument("--tokens", type=int, default=None,
@@ -394,13 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="penalty multiplier for theoretical mode")
     p.add_argument("--plateau-tol", type=float, default=0.05,
                    help="relative slope-change tolerance (default 0.05)")
-    p.add_argument("--slope-shape", choices=["dimension", "theoretical"],
-                   default="dimension",
+    p.add_argument("--slope-shape", choices=SLOPE_SHAPES, default="dimension",
                    help="penalty shape used by slope mode")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="top words, assignments, and yearly evolution")
+    p = sub.add_parser("report", help="top words, assignments, and yearly evolution")
     p.add_argument("corpus", help="corpus file from ingest")
     p.add_argument("model", help="model file from sweep --fits-dir")
     p.add_argument("--out-dir", required=True)
@@ -409,10 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="words listed per cluster (default 12)")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="planted-mixture experiment from a config file")
+    p = sub.add_parser("synth", help="planted-mixture experiment from a config file")
     p.add_argument("config", help="experiment config JSON")
     p.add_argument("--out-dir", required=True)
+    p.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p.set_defaults(func=cmd_synth)
     return parser
 

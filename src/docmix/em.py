@@ -109,8 +109,8 @@ class EmConfig:
             raise ConfigError("must be > 0", field="rel_tol")
         if not self.annihilation_divisor > 1:
             raise ConfigError("must be > 1", field="annihilation_divisor")
-        if not self.init_noise_scale >= 0:
-            raise ConfigError("must be >= 0", field="init_noise_scale")
+        if not 0 <= self.init_noise_scale < math.inf:
+            raise ConfigError("must be finite and >= 0", field="init_noise_scale")
         if self.annihilation not in ANNIHILATION_RULES:
             raise ConfigError(f"must be one of {', '.join(ANNIHILATION_RULES)}",
                               field="annihilation")
@@ -165,6 +165,8 @@ def _water_fill_rows(weights, epsilon: float) -> np.ndarray:
             f"floor {epsilon} infeasible for {num} categories ({num}*{epsilon} > 1)"
         )
     peak = w.max(axis=1)
+    if not np.all(np.isfinite(peak)):
+        raise ValueError("weights must be finite")
     if not np.all(peak > 0):
         raise ValueError("weights must have positive total")
     # normalize in two steps (max first, then sum) so neither subnormal nor

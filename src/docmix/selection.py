@@ -37,6 +37,10 @@ from .errors import (
 
 SWEEP_CSV_HEADER = ["K", "D_K", "min_contrast"]
 
+# Selection modes, and the penalty shapes slope mode can calibrate.
+MODES = ("slope", "theoretical", "aic", "bic")
+SLOPE_SHAPES = ("dimension", "theoretical")
+
 
 def penalty_rate(total_tokens: int) -> float:
     """Per-dimension rate of the risk penalty for a corpus with n tokens.
@@ -151,16 +155,16 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(xc, y - y.mean()) / denom)
 
 
-def slope_heuristics(points, plateau_tol: float = 0.05,
-                     min_window: int = 3) -> tuple[float, SlopeDiagnostics]:
+def slope_heuristics(points, plateau_tol: float = 0.05) -> tuple[float, SlopeDiagnostics]:
     """Read the contrast-versus-dimension slope off its linear tail.
 
     Fits ordinary least squares over every trailing window of the
-    w largest-dimension points, w from min_window up to all points, and
-    picks the largest w whose slope moved less than plateau_tol
-    relatively from the (w-1)-window slope. When no window is that
-    stable the one with the smallest relative change wins (larger w on
-    ties) and the diagnostics say stable=False.
+    w largest-dimension points, w from 3 up to all points, and picks
+    the largest w whose slope moved less than plateau_tol relatively
+    from the (w-1)-window slope. When no window is that stable the one
+    with the smallest relative change wins (larger w on ties) and the
+    diagnostics say stable=False. A window whose change is NaN, because
+    it or the window before it spans a single dimension, is never chosen.
     """
     pts = sorted(points, key=lambda p: (p[0], p[1]))
     dims = np.asarray([p[0] for p in pts], dtype=np.float64)
@@ -174,20 +178,22 @@ def slope_heuristics(points, plateau_tol: float = 0.05,
             f"{', '.join(f'{d:g}' for d in distinct)}); use --mode aic|bic|theoretical "
             "or a wider ladder")
 
-    sizes = list(range(min_window, len(pts) + 1))
+    sizes = list(range(3, len(pts) + 1))
     slopes = [_ols_slope(dims[-w:], contrasts[-w:]) for w in sizes]
     rel_changes = [math.nan]
     for i in range(1, len(sizes)):
         prev, cur = slopes[i - 1], slopes[i]
         rel_changes.append(abs(cur - prev) / max(abs(prev), 1e-300))
 
-    stable_sizes = [sizes[i] for i in range(1, len(sizes))
-                    if rel_changes[i] < plateau_tol]
+    candidates = [i for i in range(1, len(sizes)) if not math.isnan(rel_changes[i])]
+    if not candidates:
+        raise DegenerateRegressionError("no window has a defined slope change")
+    stable_sizes = [sizes[i] for i in candidates if rel_changes[i] < plateau_tol]
     if stable_sizes:
         chosen = max(stable_sizes)
         stable = True
     else:
-        best = min(range(1, len(sizes)), key=lambda i: (rel_changes[i], -sizes[i]))
+        best = min(candidates, key=lambda i: (rel_changes[i], -sizes[i]))
         chosen = sizes[best]
         stable = False
     lambda_min = abs(slopes[sizes.index(chosen)])
@@ -208,26 +214,24 @@ def select_model(sweep: SweepResult, penalty, mode: str = "custom",
     """Minimize contrast + penalty over the sweep; ties go to smaller K.
 
     ``penalty`` is either a mapping K -> value covering every K in the
-    sweep or a sequence aligned with its entries.
+    sweep or a sequence aligned with its entries. Every criterion must
+    be finite.
     """
     if len(sweep) == 0:
         raise ValueError("sweep is empty")
-    if hasattr(penalty, "__getitem__") and not hasattr(penalty, "keys"):
-        if len(penalty) != len(sweep):
-            raise ValueError("penalty sequence does not align with the sweep")
-        penalty = {e.num_comps: penalty[i] for i, e in enumerate(sweep.entries)}
-    try:
-        criteria = tuple(
-            (e.num_comps, e.min_contrast + float(penalty[e.num_comps]))
-            for e in sweep.entries
-        )
-    except KeyError as exc:
-        raise ValueError(f"penalty undefined for K={exc.args[0]}") from exc
-    k_hat = criteria[0][0]
-    best = criteria[0][1]
-    for k, value in criteria[1:]:
-        if value < best:
-            k_hat, best = k, value
+    if hasattr(penalty, "keys"):
+        for e in sweep.entries:
+            if e.num_comps not in penalty:
+                raise ValueError(f"penalty undefined for K={e.num_comps}")
+        penalty = [penalty[e.num_comps] for e in sweep.entries]
+    if len(penalty) != len(sweep):
+        raise ValueError("penalty sequence does not align with the sweep")
+    criteria = tuple((e.num_comps, e.min_contrast + float(pen))
+                     for e, pen in zip(sweep.entries, penalty))
+    for k, value in criteria:
+        if not math.isfinite(value):
+            raise ValueError(f"criterion for K={k} is not finite: {value}")
+    k_hat = min(criteria, key=lambda kv: kv[1])[0]
     return SelectionReport(
         mode=mode,
         k_hat=k_hat,
@@ -254,53 +258,37 @@ def select_from_sweep(sweep: SweepResult, mode: str = "slope", *,
     """
     if len(sweep) == 0:
         raise ValueError("sweep is empty")
-
-    def words_of(entry: SweepEntry) -> int:
-        if entry.dimension % entry.num_comps:
-            raise ValueError(
-                f"dimension {entry.dimension} is not a multiple of K={entry.num_comps}"
-            )
-        return entry.dimension // entry.num_comps
-
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "slope" and slope_shape not in SLOPE_SHAPES:
+        raise ValueError(f"unknown slope_shape {slope_shape!r}")
+    shape = slope_shape if mode == "slope" else mode
+    lam = diag = None
     if mode == "slope":
         lam, diag = slope_heuristics(sweep.points(), plateau_tol)
-        if slope_shape == "dimension":
-            pen = {e.num_comps: 2.0 * lam * e.dimension for e in sweep.entries}
-            mult = 2.0 * lam
-        elif slope_shape == "theoretical":
-            if total_tokens is None or num_docs is None:
-                raise ValueError("theoretical shape needs total_tokens and num_docs")
-            mult = 2.0 * lam / penalty_rate(total_tokens)
-            pen = {
-                e.num_comps: theoretical_penalty(
-                    e.num_comps, num_docs, total_tokens, words_of(e), mult
-                )
-                for e in sweep.entries
-            }
-        else:
-            raise ValueError(f"unknown slope_shape {slope_shape!r}")
-        return select_model(sweep, pen, mode="slope", lambda_min=lam,
-                            penalty_multiplier=mult, diagnostics=diag)
-    if mode == "theoretical":
+        multiplier = 2.0 * lam
+    if shape == "theoretical":
         if total_tokens is None or num_docs is None:
-            raise ValueError("theoretical mode needs total_tokens and num_docs")
-        pen = {
-            e.num_comps: theoretical_penalty(
-                e.num_comps, num_docs, total_tokens, words_of(e), multiplier
-            )
-            for e in sweep.entries
-        }
-        return select_model(sweep, pen, mode="theoretical",
-                            penalty_multiplier=multiplier)
-    if mode in ("aic", "bic"):
+            raise ValueError("the theoretical penalty needs total_tokens and num_docs")
+        if mode == "slope":
+            multiplier = 2.0 * lam / penalty_rate(total_tokens)
+        for e in sweep.entries:
+            if e.dimension % e.num_comps:
+                raise ValueError(f"dimension {e.dimension} is not a multiple of K={e.num_comps}")
+        penalty = [theoretical_penalty(e.num_comps, num_docs, total_tokens,
+                                       e.dimension // e.num_comps, multiplier)
+                   for e in sweep.entries]
+    elif shape == "dimension":
+        penalty = [2.0 * lam * e.dimension for e in sweep.entries]
+    else:
         if total_tokens is None:
             raise ValueError(f"{mode} needs total_tokens")
-        pen = {}
-        for e in sweep.entries:
-            aic, bic = aic_bic(e.min_contrast, e.dimension, total_tokens)
-            pen[e.num_comps] = (aic if mode == "aic" else bic) - e.min_contrast
-        return select_model(sweep, pen, mode=mode)
-    raise ValueError(f"unknown mode {mode!r}")
+        column = 0 if mode == "aic" else 1
+        penalty = [aic_bic(e.min_contrast, e.dimension, total_tokens)[column] - e.min_contrast
+                   for e in sweep.entries]
+        multiplier = None
+    return select_model(sweep, penalty, mode=mode, lambda_min=lam,
+                        penalty_multiplier=multiplier, diagnostics=diag)
 
 
 def derive_seed(base_seed: int, k_max: int) -> int:
@@ -405,7 +393,7 @@ def dumps_selection_report(report: SelectionReport) -> str:
         "criteria": [[k, v] for k, v in report.criteria],
         "diagnostics": None if report.diagnostics is None else {
             "window_sizes": list(report.diagnostics.window_sizes),
-            "slopes": list(report.diagnostics.slopes),
+            "slopes": [None if math.isnan(s) else s for s in report.diagnostics.slopes],
             "rel_changes": [
                 None if math.isnan(r) else r for r in report.diagnostics.rel_changes
             ],

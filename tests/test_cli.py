@@ -263,6 +263,40 @@ class TestSweepSelect:
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
 
+    def test_slope_report_never_holds_nan(self, tmp_path, capsys):
+        # the last four rungs share D=40, so the smallest windows have no slope
+        sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        sweep_path.write_text("K,D_K,min_contrast\n" + "".join(
+            f"{k},{d},{c}\n" for k, d, c in zip(range(1, 8), [10, 20, 30, 40, 40, 40, 40],
+                                               [1000, 900, 850, 820, 815, 812, 811])))
+        assert cli.run(["select", str(sweep_path), "--out", str(out)]) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"bare {name} in the selection report")
+
+        report = json.loads(out.read_text(), parse_constant=no_constant)
+        assert report["lambda_min"] > 0
+        assert report["diagnostics"]["slopes"][:2] == [None, None]
+        assert "lambda_min=nan" not in capsys.readouterr().out
+
+    def test_non_finite_criterion_is_data_error(self, tmp_path, capsys):
+        sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        sweep_path.write_text("K,D_K,min_contrast\n1,20,1000\n2,40,900\n3,60,850\n")
+        assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode",
+                        "theoretical", "--tokens", "5000", "--docs", "100",
+                        "--multiplier", "nan"]) == 2
+        assert capsys.readouterr().err == "error: criterion for K=1 is not finite: nan\n"
+        assert not out.exists()
+
+    def test_non_finite_noise_scale_is_data_error(self, planted_setup, tmp_path, capsys):
+        _, corpus_path = planted_setup
+        code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
+                        "--kmax", "2", "--noise-scale", "inf"])
+        assert code == 2
+        assert "init_noise_scale" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         assert cli.run([]) == 1
@@ -290,6 +324,29 @@ class TestUsageErrors:
         capsys.readouterr()
         assert cli.run([*argv, flag, value]) == 1
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command,flag", [
+        ("ingest", "--seed"), ("ingest", "--threads"), ("select", "--seed"),
+        ("select", "--threads"), ("report", "--seed"), ("report", "--threads"),
+        ("synth", "--seed"),
+    ])
+    def test_seed_and_threads_only_where_read(self, uci_files, fitted_setup, tmp_path,
+                                              capsys, command, flag):
+        docword, vocab = uci_files
+        corpus_path, sweep_path, model_path = fitted_setup
+        out = tmp_path / "out"
+        argv = {"ingest": ["ingest", str(docword), str(vocab), "--out", str(out)],
+                "select": ["select", str(sweep_path), "--out", str(out), "--mode", "bic",
+                           "--corpus", str(corpus_path)],
+                "report": ["report", str(corpus_path), str(model_path),
+                           "--out-dir", str(out)],
+                "synth": ["synth", str(synth_config(tmp_path)), "--out-dir", str(out)],
+                }[command]
+        capsys.readouterr()
+        assert cli.run([*argv, flag, "1"]) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert not out.exists()
 
 

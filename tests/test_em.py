@@ -168,6 +168,11 @@ class TestWaterFillRows:
         zero[2] = 0.0
         with pytest.raises(ValueError, match="positive total"):
             em._water_fill_rows(zero, 0.1)
+        for value in (np.inf, np.nan):
+            non_finite = good.copy()
+            non_finite[0, 1] = value
+            with pytest.raises(ValueError, match="finite"):
+                em._water_fill_rows(non_finite, 0.1)
         with pytest.raises(InfeasibleFloorError):
             em._water_fill_rows(good, 0.3)
 
@@ -745,6 +750,7 @@ class TestConfig:
         ("rel_tol", 0.0),
         ("annihilation_divisor", 1.0),
         ("init_noise_scale", -0.5),
+        ("init_noise_scale", math.inf),
         ("annihilation", "bogus"),
     ])
     def test_rejects_bad_values(self, field, value):

@@ -1,10 +1,13 @@
+import importlib.util
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import docmix as dm
+import docmix.cli as cli
 from docmix.em import EmConfig
 from docmix.errors import (
     DegenerateRegressionError,
@@ -18,6 +21,7 @@ from docmix.selection import (
     SweepResult,
     aic_bic,
     derive_seed,
+    dumps_selection_report,
     load_sweep,
     penalty_rate,
     run_sweep,
@@ -149,6 +153,24 @@ class TestSlopeHeuristics:
         with pytest.raises(DegenerateRegressionError):
             slope_heuristics([(10, 5.0), (10, 4.0), (10, 3.0)])
 
+    def test_window_with_nan_change_never_chosen(self):
+        # the last four points share D=40: the 3- and 4-point windows have no
+        # slope, so their changes and the 5-point window's change are NaN
+        pts = list(zip([10, 20, 30, 40, 40, 40, 40],
+                       [1000.0, 900.0, 850.0, 820.0, 815.0, 812.0, 811.0]))
+        lambda_min, diag = slope_heuristics(pts)
+        assert [math.isnan(r) for r in diag.rel_changes] == [True, True, True, False, False]
+        assert diag.chosen_window in (6, 7)
+        assert math.isfinite(lambda_min)
+
+    def test_no_defined_change_is_degenerate(self):
+        # contrasts near the float maximum overflow every window's mean, so
+        # every slope, and with it every change, is NaN
+        pts = [(10 * k, 1.7e308) for k in range(1, 8)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateRegressionError):
+                slope_heuristics(pts)
+
 
 def toy_sweep():
     entries = tuple(
@@ -196,6 +218,13 @@ class TestSelectModel:
         with pytest.raises(ValueError):
             select_model(sweep, [0.0, 1.0])
 
+    def test_non_finite_criterion_rejected(self):
+        sweep = toy_sweep()
+        with pytest.raises(ValueError, match="criterion for K=2 is not finite"):
+            select_model(sweep, [0.0, math.nan, 0.0, math.inf, 0.0])
+        with pytest.raises(ValueError, match="criterion for K=4 is not finite"):
+            select_model(sweep, {1: 0.0, 2: 0.0, 3: 0.0, 4: math.inf, 5: 0.0})
+
 
 class TestSelectFromSweep:
     def synthetic(self, lam=4.0, num=8, width=30):
@@ -233,6 +262,45 @@ class TestSelectFromSweep:
         sweep = self.synthetic()
         with pytest.raises(ValueError):
             select_from_sweep(sweep, "magic", total_tokens=50_000)
+
+    def test_unknown_slope_shape_rejected_before_calibration(self):
+        short = self.synthetic(num=3)  # too few dimensions for slope heuristics
+        with pytest.raises(ValueError, match="unknown slope_shape 'magic'"):
+            select_from_sweep(short, "slope", total_tokens=50_000, slope_shape="magic")
+        # only slope mode reads the shape
+        assert select_from_sweep(short, "bic", total_tokens=50_000,
+                                 slope_shape="magic").mode == "bic"
+
+    def kinked(self):
+        # contrast falls steeply up to K=3, then by 4 per dimension
+        return SweepResult(entries=tuple(
+            SweepEntry(num_comps=k, dimension=30 * k,
+                       min_contrast=90_000.0 - 3_000.0 * min(k, 3) - 4.0 * 30 * k)
+            for k in range(1, 9)
+        ))
+
+    def test_slope_theoretical_shape(self):
+        sweep, n, num_docs = self.kinked(), 50_000, 400
+        report = select_from_sweep(sweep, "slope", total_tokens=n,
+                                   num_docs=num_docs, slope_shape="theoretical")
+        assert report.penalty_multiplier == 2 * report.lambda_min / penalty_rate(n)
+        assert report.criteria == tuple(
+            (e.num_comps, e.min_contrast + theoretical_penalty(
+                e.num_comps, num_docs, n, 30, report.penalty_multiplier))
+            for e in sweep.entries
+        )
+
+    def test_slope_theoretical_shape_through_cli(self, tmp_path, capsys):
+        sweep_path, out = tmp_path / "sweep.csv", tmp_path / "selection.json"
+        save_sweep(self.kinked(), sweep_path)
+        assert cli.run(["select", str(sweep_path), "--out", str(out),
+                        "--slope-shape", "theoretical", "--tokens", "50000",
+                        "--docs", "400"]) == 0
+        report = select_from_sweep(self.kinked(), "slope", total_tokens=50_000,
+                                   num_docs=400, slope_shape="theoretical")
+        assert out.read_text() == dumps_selection_report(report)
+        assert capsys.readouterr().out == (
+            f"K_hat={report.k_hat} (mode=slope, lambda_min={report.lambda_min:.6g})\n")
 
 
 class TestSweepCsv:
@@ -307,3 +375,15 @@ def test_derive_seed_is_stable_and_spread():
     assert derive_seed(7, 3) != derive_seed(7, 4)
     assert derive_seed(8, 3) != derive_seed(7, 3)
     assert 0 <= derive_seed(0, 1) < 2**32
+
+
+def test_compare_selection_modes_script(capsys):
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "compare_selection_modes.py"
+    spec = importlib.util.spec_from_file_location("compare_selection_modes", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--num-seeds", "1", "--kmax", "5", "--num-docs", "60",
+                        "--starts", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["mode", "hits"])
+    assert [row.split()[0] for row in lines[header + 1:]] == list(script.MODES)
