@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from dataclasses import fields, replace
@@ -22,6 +21,7 @@ from .corpus import (
     atomic_write_text,
     load_corpus,
     load_year_sidecar,
+    loads_strict_json,
     parse_bag_of_words,
     prune_vocabulary,
     save_corpus,
@@ -185,8 +185,8 @@ def _optional(config: dict, key: str, kind, default):
 def load_synth_config(path) -> dict:
     with open(path, encoding="utf-8") as handle:
         try:
-            config = json.load(handle)
-        except json.JSONDecodeError as exc:
+            config = loads_strict_json(handle.read())
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ConfigError(f"not valid JSON: {exc}", field="(file)") from exc
     if not isinstance(config, dict):
         raise ConfigError("top level must be an object", field="(file)")

@@ -11,8 +11,10 @@ computation reads it directly.
 On disk the exchange format is the UCI bag-of-words pair: a ``docword``
 file with three integer header lines (D, W, NNZ) followed by NNZ
 whitespace-separated ``docID wordID count`` triples (1-based), and a
-``vocab`` file with one token per line. Internal persistence is a
-versioned JSON container.
+``vocab`` file with one token per line. Internal persistence is one
+strict-JSON codec for every docmix document (corpus, model, run log,
+selection report): dumps_document writes a versioned container and never
+a bare NaN or Infinity, and loads_document rejects both when it reads.
 """
 
 from __future__ import annotations
@@ -24,15 +26,15 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice, repeat
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, TypeVar
 
 import numpy as np
 from scipy import sparse
 
 from .errors import EmptyVocabularyError, FormatError, ParseError
 
-CORPUS_FORMAT = "docmix.corpus"
-CORPUS_VERSION = 1
+DOCUMENT_VERSION = 1
+_T = TypeVar("_T")
 _BATCH_LINES = 1 << 16  # docword lines per np.loadtxt call: bounds the text held as str
 
 
@@ -49,6 +51,38 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def loads_strict_json(text: str):
+    """``json.loads`` that rejects the bare NaN and +-Infinity it would accept."""
+    def reject(name: str):
+        raise ValueError(f"bare {name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def dumps_document(kind: str, fields: dict, indent: int | None = None) -> str:
+    """The ``docmix.<kind>`` document of ``fields`` as strict JSON, compact
+    unless ``indent`` is given; a non-finite float raises ValueError."""
+    return json.dumps({"format": f"docmix.{kind}", "version": DOCUMENT_VERSION, **fields},
+                      indent=indent, separators=(",", ": " if indent else ":"), allow_nan=False)
+
+
+def loads_document(text: str, kind: str, build: Callable[[dict], _T]) -> _T:
+    """The object ``build`` makes from the payload of a ``docmix.<kind>``
+    document. Every way the text can be corrupt raises FormatError."""
+    try:
+        payload = loads_strict_json(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise FormatError(f"{kind} payload is not valid JSON (truncated?): {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != f"docmix.{kind}":
+        raise FormatError(f"payload is not a docmix {kind} container")
+    if payload.get("version") != DOCUMENT_VERSION:
+        raise FormatError(f"unsupported {kind} version {payload.get('version')!r}, "
+                          f"expected {DOCUMENT_VERSION}")
+    try:
+        return build(payload)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise FormatError(f"{kind} payload is structurally invalid: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -352,16 +386,13 @@ def dumps_corpus(corpus: Corpus) -> str:
     indices = matrix.indices.tolist()
     counts = matrix.data.astype(np.int64).tolist()
     bounds = matrix.indptr.tolist()
-    payload = {
-        "format": CORPUS_FORMAT,
-        "version": CORPUS_VERSION,
+    return dumps_document("corpus", {
         "words": list(corpus.vocab.words),
         "doc_ids": corpus.doc_ids,
         "docs": [[indices[a:b], counts[a:b]] for a, b in zip(bounds, bounds[1:])],
         "doc_years": sorted(corpus.doc_years.items()) if corpus.doc_years is not None else None,
         "dropped_doc_ids": corpus.dropped_doc_ids,
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    })
 
 
 def _int_array(values, what: str) -> np.ndarray:
@@ -373,40 +404,31 @@ def _int_array(values, what: str) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
+def _corpus_from_payload(payload: dict) -> Corpus:
+    docs = payload["docs"]
+    if not all(isinstance(doc, list) and len(doc) == 2 and len(doc[0]) == len(doc[1])
+               for doc in docs):
+        raise FormatError("every document must be an [indices, counts] pair of equal lengths")
+    vocab = Vocabulary(tuple(payload["words"]))
+    matrix = sparse.csr_matrix(
+        (_int_array(chain.from_iterable(doc[1] for doc in docs), "counts").astype(np.float64),
+         _int_array(chain.from_iterable(doc[0] for doc in docs), "word indices"),
+         np.cumsum([0] + [len(doc[0]) for doc in docs])),
+        shape=(len(docs), vocab.size),
+    )
+    years = payload["doc_years"]
+    return Corpus(
+        vocab=vocab,
+        counts=matrix,
+        doc_ids=_int_array(payload["doc_ids"], "doc_ids").tolist(),
+        doc_years=None if years is None else (
+            dict(_int_array(pair, "doc_years").tolist() for pair in years) or None),
+        dropped_doc_ids=_int_array(payload["dropped_doc_ids"], "dropped_doc_ids").tolist(),
+    )
+
+
 def loads_corpus(text: str) -> Corpus:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"corpus payload is not valid JSON (truncated?): {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CORPUS_FORMAT:
-        raise FormatError("payload is not a docmix corpus container")
-    if payload.get("version") != CORPUS_VERSION:
-        raise FormatError(
-            f"unsupported corpus version {payload.get('version')!r}, expected {CORPUS_VERSION}"
-        )
-    try:
-        docs = payload["docs"]
-        if not all(isinstance(doc, list) and len(doc) == 2 and len(doc[0]) == len(doc[1])
-                   for doc in docs):
-            raise FormatError("every document must be an [indices, counts] pair of equal lengths")
-        vocab = Vocabulary(tuple(payload["words"]))
-        matrix = sparse.csr_matrix(
-            (_int_array(chain.from_iterable(doc[1] for doc in docs), "counts").astype(np.float64),
-             _int_array(chain.from_iterable(doc[0] for doc in docs), "word indices"),
-             np.cumsum([0] + [len(doc[0]) for doc in docs])),
-            shape=(len(docs), vocab.size),
-        )
-        years = payload["doc_years"]
-        return Corpus(
-            vocab=vocab,
-            counts=matrix,
-            doc_ids=_int_array(payload["doc_ids"], "doc_ids").tolist(),
-            doc_years=None if years is None else (
-                dict(_int_array(pair, "doc_years").tolist() for pair in years) or None),
-            dropped_doc_ids=_int_array(payload["dropped_doc_ids"], "dropped_doc_ids").tolist(),
-        )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise FormatError(f"corpus payload is structurally invalid: {exc}") from exc
+    return loads_document(text, "corpus", _corpus_from_payload)
 
 
 def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:

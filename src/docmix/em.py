@@ -57,18 +57,20 @@ MML rule the monotone quantity is the objective the loop ascends,
 loglik - (N/2) sum_k log pi_k, between annihilation events; the
 log-likelihood itself can fall, and the loop stops when the objective
 stalls.
+
+A fit's run log (dumps_run_log) is a strict-JSON docmix document, so
+EmConfig admits only finite values.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, dumps_document
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -105,10 +107,10 @@ class EmConfig:
         for name in ("n_starts", "short_iters", "max_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError("must be >= 1", field=name)
-        if not self.rel_tol > 0:
-            raise ConfigError("must be > 0", field="rel_tol")
-        if not self.annihilation_divisor > 1:
-            raise ConfigError("must be > 1", field="annihilation_divisor")
+        if not 0 < self.rel_tol < math.inf:
+            raise ConfigError("must be finite and > 0", field="rel_tol")
+        if not 1 < self.annihilation_divisor < math.inf:
+            raise ConfigError("must be finite and > 1", field="annihilation_divisor")
         if not 0 <= self.init_noise_scale < math.inf:
             raise ConfigError("must be finite and >= 0", field="init_noise_scale")
         if self.annihilation not in ANNIHILATION_RULES:
@@ -533,9 +535,7 @@ def _config_record(config: EmConfig) -> dict:
 
 
 def dumps_run_log(fit: FitResult, config: EmConfig | None = None) -> str:
-    payload = {
-        "format": "docmix.runlog",
-        "version": 1,
+    return dumps_document("runlog", {
         "k_initial": fit.k_initial,
         "k_final": fit.k_final,
         "seed": fit.seed,
@@ -544,5 +544,4 @@ def dumps_run_log(fit: FitResult, config: EmConfig | None = None) -> str:
         "annihilation_events": [[i, list(removed)] for i, removed in fit.annihilation_events],
         "loglik_trace": fit.loglik_trace,
         "config": _config_record(config) if config is not None else None,
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    })

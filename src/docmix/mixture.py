@@ -32,7 +32,6 @@ tests/test_mixture.py is the guard that fails first if numpy changes it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -41,11 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .corpus import Corpus, atomic_write_text
+from .corpus import Corpus, atomic_write_text, dumps_document, loads_document
 from .errors import FormatError
-
-MODEL_FORMAT = "docmix.model"
-MODEL_VERSION = 1
 
 WEIGHT_SUM_TOL = 1e-12
 DENSITY_SUM_TOL = 1e-10
@@ -305,42 +301,28 @@ def weighted_kl_risk(true_densities, model: MixtureModel, assignment: Assignment
 
 
 def dumps_model(model: MixtureModel) -> str:
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
+    return dumps_document("model", {
         "K": model.num_components,
         "B": model.num_words,
         "epsilon_n": model.epsilon,
         "pi": model.pi.tolist(),
         "log_f": model.log_f.tolist(),
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    })
+
+
+def _model_from_payload(payload: dict) -> MixtureModel:
+    model = MixtureModel(
+        pi=np.asarray(payload["pi"], dtype=np.float64),
+        log_f=np.asarray(payload["log_f"], dtype=np.float64),
+        epsilon=float(payload["epsilon_n"]),
+    )
+    if model.num_components != payload["K"] or model.num_words != payload["B"]:
+        raise FormatError("declared K/B do not match the stored arrays")
+    return model
 
 
 def loads_model(text: str) -> MixtureModel:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"model payload is not valid JSON (truncated?): {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise FormatError("payload is not a docmix model container")
-    if payload.get("version") != MODEL_VERSION:
-        raise FormatError(
-            f"unsupported model version {payload.get('version')!r}, expected {MODEL_VERSION}"
-        )
-    try:
-        model = MixtureModel(
-            pi=np.asarray(payload["pi"], dtype=np.float64),
-            log_f=np.asarray(payload["log_f"], dtype=np.float64),
-            epsilon=float(payload["epsilon_n"]),
-        )
-        if model.num_components != payload["K"] or model.num_words != payload["B"]:
-            raise FormatError("declared K/B do not match the stored arrays")
-        return model
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"model payload is structurally invalid: {exc}") from exc
+    return loads_document(text, "model", _model_from_payload)
 
 
 def save_model(model: MixtureModel, path: str | os.PathLike) -> None:

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, atomic_write_text
+from .corpus import Corpus, atomic_write_text, dumps_document
 from .em import EmConfig, FitResult, robust_em
 from .errors import (
     DegenerateFitError,
@@ -383,22 +382,18 @@ def load_sweep(path: str | os.PathLike) -> SweepResult:
 
 
 def dumps_selection_report(report: SelectionReport) -> str:
-    payload = {
-        "format": "docmix.selection",
-        "version": 1,
+    diagnostics = report.diagnostics
+    return dumps_document("selection", {
         "mode": report.mode,
         "K_hat": report.k_hat,
         "lambda_min": report.lambda_min,
         "penalty_multiplier": report.penalty_multiplier,
         "criteria": [[k, v] for k, v in report.criteria],
-        "diagnostics": None if report.diagnostics is None else {
-            "window_sizes": list(report.diagnostics.window_sizes),
-            "slopes": [None if math.isnan(s) else s for s in report.diagnostics.slopes],
-            "rel_changes": [
-                None if math.isnan(r) else r for r in report.diagnostics.rel_changes
-            ],
-            "chosen_window": report.diagnostics.chosen_window,
-            "stable": report.diagnostics.stable,
+        "diagnostics": None if diagnostics is None else {
+            "window_sizes": list(diagnostics.window_sizes),
+            "slopes": [s if math.isfinite(s) else None for s in diagnostics.slopes],
+            "rel_changes": [r if math.isfinite(r) else None for r in diagnostics.rel_changes],
+            "chosen_window": diagnostics.chosen_window,
+            "stable": diagnostics.stable,
         },
-    }
-    return json.dumps(payload, indent=2)
+    }, indent=2)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -264,19 +265,25 @@ class TestSweepSelect:
 
 
     def test_slope_report_never_holds_nan(self, tmp_path, capsys):
-        # the last four rungs share D=40, so the smallest windows have no slope
-        sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
-        sweep_path.write_text("K,D_K,min_contrast\n" + "".join(
-            f"{k},{d},{c}\n" for k, d, c in zip(range(1, 8), [10, 20, 30, 40, 40, 40, 40],
-                                               [1000, 900, 850, 820, 815, 812, 811])))
-        assert cli.run(["select", str(sweep_path), "--out", str(out)]) == 0
-
         def no_constant(name):
             raise AssertionError(f"bare {name} in the selection report")
 
-        report = json.loads(out.read_text(), parse_constant=no_constant)
-        assert report["lambda_min"] > 0
-        assert report["diagnostics"]["slopes"][:2] == [None, None]
+        sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        reports = []
+        # in the first curve the last four rungs share D=40, so the smallest
+        # windows have no slope; in the second the smallest window's slope
+        # is 0, so the next window's relative slope change is infinite
+        for dims, contrasts in [([10, 20, 30, 40, 40, 40, 40],
+                                 [1000, 900, 850, 820, 815, 812, 811]),
+                                ([10, 20, 30, 40, 50, 60], [9e12, 5e12, 1e12, 0, 0, 0])]:
+            sweep_path.write_text("K,D_K,min_contrast\n" + "".join(
+                f"{k},{d},{c}\n" for k, (d, c) in enumerate(zip(dims, contrasts), start=1)))
+            assert cli.run(["select", str(sweep_path), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text(), parse_constant=no_constant))
+        assert reports[0]["lambda_min"] > 0
+        assert reports[0]["diagnostics"]["slopes"][:2] == [None, None]
+        assert reports[1]["diagnostics"]["slopes"][0] == 0.0
+        assert reports[1]["diagnostics"]["rel_changes"][:2] == [None, None]
         assert "lambda_min=nan" not in capsys.readouterr().out
 
     def test_non_finite_criterion_is_data_error(self, tmp_path, capsys):
@@ -295,6 +302,16 @@ class TestSweepSelect:
         assert code == 2
         assert "init_noise_scale" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_non_finite_rel_tol_is_config_error(self, planted_setup, tmp_path, capsys):
+        # a run log holding it would not be JSON
+        _, corpus_path = planted_setup
+        code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
+                        "--kmax", "2", "--rel-tol", "inf", "--fits-dir", str(tmp_path / "fits")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: config field 'rel_tol': must be finite and > 0\n")
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "fits").exists()
 
 
 class TestUsageErrors:
@@ -548,9 +565,10 @@ class TestSynth:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "synth.json"
-        path.write_text("{broken")
-        assert cli.run(["synth", str(path), "--out-dir",
-                        str(tmp_path / "o")]) == 2
+        for text in ["{broken", "[" * 100_000]:  # the second one nests too deeply
+            path.write_text(text)
+            assert cli.run(["synth", str(path), "--out-dir",
+                            str(tmp_path / "o")]) == 2
 
     def test_bad_em_override(self, tmp_path):
         path = synth_config(tmp_path, em={"bogus_knob": 1})
@@ -567,6 +585,16 @@ class TestSynth:
         path = synth_config(tmp_path, **{field: value})
         assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: config field '{field}")
+
+    @pytest.mark.parametrize("field,value,name", [
+        ("em", {"rel_tol": math.inf, "annihilation_divisor": math.inf}, "Infinity"),
+        ("min_pairwise_kl", math.nan, "NaN"), ("concentration", math.inf, "Infinity"),
+    ], ids=["em-infinity", "kl-nan", "concentration-infinity"])
+    def test_non_finite_constant_is_config_error(self, tmp_path, capsys, field, value, name):
+        path = synth_config(tmp_path, **{field: value})
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config field '(file)': not valid JSON: bare {name} is not JSON\n")
 
     def test_slope_mode_names_dimensions_and_way_out(self, tmp_path, capsys):
         # MML rungs of the 1..4 ladder collapse onto two realized dimensions

@@ -310,8 +310,16 @@ class TestPersistence:
         assert back.doc_ids == tiny_corpus.doc_ids
 
     def test_not_json(self):
-        with pytest.raises(FormatError):
-            loads_corpus("{not json")
+        for text in ["{not json", "[" * 100_000]:  # the second one nests too deeply
+            with pytest.raises(FormatError, match="not valid JSON"):
+                loads_corpus(text)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_bare_constant_is_not_json(self, tiny_corpus, constant):
+        blob = json.loads(dumps_corpus(tiny_corpus))
+        blob["docs"][0][1][0] = float(constant)
+        with pytest.raises(FormatError, match=f"not valid JSON .*: bare {constant} "):
+            loads_corpus(json.dumps(blob))
 
     def test_wrong_format_tag(self, tiny_corpus):
         blob = json.loads(dumps_corpus(tiny_corpus))

@@ -748,7 +748,9 @@ class TestConfig:
         ("short_iters", 0),
         ("max_iters", 0),
         ("rel_tol", 0.0),
+        ("rel_tol", math.inf),
         ("annihilation_divisor", 1.0),
+        ("annihilation_divisor", math.inf),
         ("init_noise_scale", -0.5),
         ("init_noise_scale", math.inf),
         ("annihilation", "bogus"),

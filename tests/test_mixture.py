@@ -205,6 +205,13 @@ class TestPersistence:
         back = load_model(path)
         assert np.array_equal(back.log_f, model.log_f)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_bare_constant_is_not_json(self, constant):
+        blob = json.loads(dumps_model(two_component_model()))
+        blob["log_f"][0][0] = float(constant)
+        with pytest.raises(FormatError, match=f"not valid JSON .*: bare {constant} "):
+            loads_model(json.dumps(blob))
+
     def test_bad_format(self):
         blob = json.loads(dumps_model(two_component_model()))
         blob["format"] = "nope"
