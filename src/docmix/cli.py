@@ -414,6 +414,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "sweep" and args.kmax is None and args.ladder is None:
             parser.error("sweep needs --kmax or --ladder")
+        if args.command == "select" and args.corpus is not None and (
+                args.tokens is not None or args.docs is not None):
+            parser.error("select takes --corpus or --tokens/--docs, not both")
         args.func(args)
     except SystemExit as exc:
         code = exc.code

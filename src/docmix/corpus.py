@@ -455,7 +455,8 @@ def _parse_year_rows(handle: IO[str]) -> dict[int, int]:
         if header is None or [h.strip().lower() for h in header] != ["doc_id", "year"]:
             raise ParseError("expected header 'doc_id,year'", line=1)
         years: dict[int, int] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the physical line the row ends on
             if not row:
                 continue
             if len(row) != 2:

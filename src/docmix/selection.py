@@ -165,6 +165,8 @@ def slope_heuristics(points, plateau_tol: float = 0.05) -> tuple[float, SlopeDia
     diagnostics say stable=False. A window whose change is NaN, because
     it or the window before it spans a single dimension, is never chosen.
     """
+    if not (math.isfinite(plateau_tol) and plateau_tol > 0):
+        raise ValueError(f"plateau_tol must be finite and > 0, got {plateau_tol}")
     pts = sorted(points, key=lambda p: (p[0], p[1]))
     dims = np.asarray([p[0] for p in pts], dtype=np.float64)
     contrasts = np.asarray([p[1] for p in pts], dtype=np.float64)
@@ -261,6 +263,8 @@ def select_from_sweep(sweep: SweepResult, mode: str = "slope", *,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "slope" and slope_shape not in SLOPE_SHAPES:
         raise ValueError(f"unknown slope_shape {slope_shape!r}")
+    if mode == "theoretical" and multiplier <= 0:  # NaN falls through to the criterion check
+        raise ValueError(f"multiplier must be > 0, got {multiplier}")
     shape = slope_shape if mode == "slope" else mode
     lam = diag = None
     if mode == "slope":
@@ -345,17 +349,17 @@ def sweep_to_csv(sweep: SweepResult) -> str:
 
 def sweep_from_csv(text: str) -> SweepResult:
     reader = csv.reader(io.StringIO(text))
-    try:
-        rows = list(reader)
+    try:  # line_num is the physical line each row ends on
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:  # a bare carriage return, or a field over csv's size limit
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
-    header = rows[0] if rows else None
+    header = rows[0][1] if rows else None
     if header is None or [h.strip() for h in header] != SWEEP_CSV_HEADER:
         raise FormatError(
             f"expected header {','.join(SWEEP_CSV_HEADER)!r}, got {header!r}"
         )
     entries = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 3:

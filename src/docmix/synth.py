@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Corpus, Vocabulary
 from .em import FitResult
@@ -67,8 +66,12 @@ class PlantedMixture:
 class PlantedCorpus:
     corpus: Corpus
     labels_true: np.ndarray
-    true_densities: np.ndarray
     mixture: PlantedMixture
+
+    @property
+    def true_densities(self) -> np.ndarray:
+        """Each document's planted component density, one row per document."""
+        return self.mixture.densities[self.labels_true]
 
 
 def planted_mixture(num_comps: int, num_words: int, seed,
@@ -101,7 +104,8 @@ def planted_mixture(num_comps: int, num_words: int, seed,
 def generate_corpus(mix: PlantedMixture, num_docs: int,
                     length_range: tuple[int, int], seed) -> PlantedCorpus:
     """Sample documents: component from the weights, length uniform in the
-    inclusive range, then that many i.i.d. word draws from the component."""
+    inclusive range, then that many i.i.d. word draws from the component.
+    One multinomial call draws every row; ``Corpus`` builds the CSR."""
     low, high = length_range
     if num_docs < 1:
         raise ValueError("need at least one document")
@@ -110,25 +114,10 @@ def generate_corpus(mix: PlantedMixture, num_docs: int,
     rng = np.random.default_rng(seed)
     labels = rng.choice(mix.num_components, size=num_docs, p=mix.weights)
     lengths = rng.integers(low, high + 1, size=num_docs)
-    indices, counts = [], []
-    for l in range(num_docs):
-        draw = rng.multinomial(lengths[l], mix.densities[labels[l]])
-        words = np.flatnonzero(draw)
-        indices.append(words)
-        counts.append(draw[words])
-    indptr = np.cumsum([0] + [words.size for words in indices])
-    matrix = sparse.csr_matrix(
-        (np.concatenate(counts).astype(np.float64), np.concatenate(indices), indptr),
-        shape=(num_docs, mix.num_words),
-    )
+    draws = rng.multinomial(lengths, mix.densities[labels])
     vocab = Vocabulary(tuple(f"w{b:04d}" for b in range(mix.num_words)))
-    corpus = Corpus(vocab=vocab, counts=matrix, doc_ids=list(range(1, num_docs + 1)))
-    return PlantedCorpus(
-        corpus=corpus,
-        labels_true=labels,
-        true_densities=mix.densities[labels],
-        mixture=mix,
-    )
+    corpus = Corpus(vocab=vocab, counts=draws, doc_ids=list(range(1, num_docs + 1)))
+    return PlantedCorpus(corpus=corpus, labels_true=labels, mixture=mix)
 
 
 def brute_force_loglik(corpus: Corpus, model: MixtureModel) -> float:
@@ -179,8 +168,7 @@ def _best_matching(true_labels: np.ndarray, fit_labels: np.ndarray,
                    k_true: int, k_fit: int) -> tuple[int, list[tuple[int, int]]]:
     from scipy.optimize import linear_sum_assignment  # keeps scipy.optimize out of CLI start-up
     table = np.zeros((k_true, k_fit), dtype=np.int64)
-    for t, f in zip(true_labels, fit_labels):
-        table[t, f] += 1
+    np.add.at(table, (true_labels, fit_labels), 1)
     rows, cols = linear_sum_assignment(table, maximize=True)
     return int(table[rows, cols].sum()), list(zip(rows.tolist(), cols.tolist()))
 

@@ -295,6 +295,21 @@ class TestSweepSelect:
         assert capsys.readouterr().err == "error: criterion for K=1 is not finite: nan\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--plateau-tol", "nan"], "plateau_tol must be finite and > 0, got nan"),
+        (["--plateau-tol", "-1"], "plateau_tol must be finite and > 0, got -1.0"),
+        (["--mode", "theoretical", "--multiplier", "-1"], "multiplier must be > 0, got -1.0"),
+        (["--mode", "theoretical", "--multiplier", "0"], "multiplier must be > 0, got 0.0"),
+    ])
+    def test_bad_penalty_flag_is_data_error(self, tmp_path, capsys, flags, message):
+        sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        sweep_path.write_text("K,D_K,min_contrast\n" + "".join(
+            f"{k},{20 * k},{1000 - 50 * k}\n" for k in range(1, 7)))
+        assert cli.run(["select", str(sweep_path), "--out", str(out), "--tokens", "5000",
+                        "--docs", "100", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_non_finite_noise_scale_is_data_error(self, planted_setup, tmp_path, capsys):
         _, corpus_path = planted_setup
         code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
@@ -343,6 +358,18 @@ class TestUsageErrors:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("flags", [["--tokens", "1"], ["--docs", "5"],
+                                       ["--tokens", "1", "--docs", "5"]])
+    def test_select_corpus_with_counts(self, fitted_setup, tmp_path, capsys, flags):
+        corpus_path, sweep_path, _ = fitted_setup
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode", "bic",
+                        *flags, "--corpus", str(corpus_path)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: select takes --corpus or --tokens/--docs, not both\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [
         ("ingest", "--seed"), ("ingest", "--threads"), ("select", "--seed"),

@@ -373,6 +373,15 @@ class TestYearSidecar:
         with pytest.raises(ParseError):
             load_year_sidecar(io.StringIO("id,year\n1,1987\n"))
 
+    def test_bad_row_has_line_number(self):
+        # a quoted field spanning two lines moves the bad row to line 4
+        for text, line in [("doc_id,year\n1,1987\n2,oops\n", 3),
+                           ('doc_id,year\n"1\n",1987\n2,oops\n', 4)]:
+            with pytest.raises(ParseError) as err:
+                load_year_sidecar(io.StringIO(text))
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: non-integer row ['2', 'oops']"
+
 
 class TestValidation:
     def test_zero_count_rejected(self):

@@ -253,6 +253,23 @@ class TestSelectFromSweep:
         assert aic_report.k_hat == 1
         assert bic_report.k_hat == 1
 
+    @pytest.mark.parametrize("mode,flag,value", [
+        ("slope", "plateau_tol", math.nan),
+        ("slope", "plateau_tol", math.inf),
+        ("slope", "plateau_tol", 0.0),
+        ("slope", "plateau_tol", -1.0),
+        ("theoretical", "multiplier", 0.0),
+        ("theoretical", "multiplier", -1.0),
+    ])
+    def test_rejects_bad_penalty_flag(self, mode, flag, value):
+        # a multiplier <= 0 would otherwise select the largest K
+        with pytest.raises(ValueError) as err:
+            select_from_sweep(self.synthetic(), mode, total_tokens=50_000,
+                              num_docs=400, **{flag: value})
+        assert str(err.value) == (f"{flag} must be finite and > 0, got {value}"
+                                  if flag == "plateau_tol" else
+                                  f"{flag} must be > 0, got {value}")
+
     def test_theoretical_mode_needs_counts(self):
         sweep = self.synthetic()
         with pytest.raises(ValueError):
@@ -327,9 +344,13 @@ class TestSweepCsv:
             sweep_from_csv("K,D,contrast\n1,20,5.0\n")
 
     def test_bad_row_has_line_number(self):
-        with pytest.raises(ParseError) as err:
-            sweep_from_csv("K,D_K,min_contrast\n1,20,5.0\n2,40,oops\n")
-        assert err.value.line == 3
+        # a quoted field spanning two lines moves the bad row to line 4
+        for text, line in [("K,D_K,min_contrast\n1,20,5.0\n2,40,oops\n", 3),
+                           ('K,D_K,min_contrast\n"1\n",20,5.0\n2,40,oops\n', 4)]:
+            with pytest.raises(ParseError) as err:
+                sweep_from_csv(text)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: could not convert string to float: 'oops'"
 
     def test_save_load(self, tmp_path):
         path = tmp_path / "sweep.csv"

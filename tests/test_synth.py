@@ -55,7 +55,42 @@ class TestPlantedMixture:
                            densities=np.full((2, 4), 0.25))
 
 
+def per_document_draw(mix, num_docs, length_range, rng):
+    """Reference draw: one multinomial call per document, CSR built by hand."""
+    labels = rng.choice(mix.num_components, size=num_docs, p=mix.weights)
+    lengths = rng.integers(length_range[0], length_range[1] + 1, size=num_docs)
+    indices, counts = [], []
+    for l in range(num_docs):
+        draw = rng.multinomial(lengths[l], mix.densities[labels[l]])
+        indices.append(np.flatnonzero(draw))
+        counts.append(draw[indices[-1]])
+    indptr = np.cumsum([0] + [words.size for words in indices])
+    return labels, indptr, np.concatenate(indices), np.concatenate(counts)
+
+
 class TestGenerateCorpus:
+    @pytest.mark.parametrize("num_comps,num_words,concentration,num_docs,length_range", [
+        (1, 7, 1.0, 30, (2, 40)),
+        (4, 12, 1.0, 1, (5, 60)),
+        (3, 20, 1.0, 25, (9, 9)),
+        (6, 50, 0.1, 80, (1, 300)),
+    ])
+    def test_matches_per_document_draw(self, num_comps, num_words, concentration,
+                                       num_docs, length_range):
+        mix = planted_mixture(num_comps, num_words, seed=num_docs,
+                              concentration=concentration)
+        rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
+        planted = generate_corpus(mix, num_docs, length_range, seed=rng)
+        labels, indptr, indices, counts = per_document_draw(
+            mix, num_docs, length_range, reference_rng)
+        matrix = planted.corpus.counts
+        assert np.array_equal(planted.labels_true, labels)
+        assert np.array_equal(matrix.indptr, indptr)
+        assert np.array_equal(matrix.indices, indices)
+        assert matrix.data.dtype == np.float64
+        assert np.array_equal(matrix.data, counts)
+        assert rng.random() == reference_rng.random()
+
     def test_shapes_and_lengths(self):
         mix = planted_mixture(3, 10, seed=6)
         planted = generate_corpus(mix, 25, (5, 9), seed=7)
