@@ -6,6 +6,9 @@ that the E- and M-step kernels in src/docmix are built around:
 
 - np.exp per element when its outputs are normal, +0.0 (inputs below
   about -745.13) or subnormal; _exp_in_place skips the +0.0 ones;
+- mixture._exp_in_place against plain np.exp on the E-step's own first
+  slice, for both of its exps (shifted scores and log responsibilities),
+  and the np.putmask it runs against a multiply by a 0/1 mask;
 - X.T @ resp on real responsibilities, with their subnormals, with them
   flushed to 0, and scaled by 2**64 as _m_step_block computes it;
 - the log-sum-exp's max and sum over the last axis (K components) as one
@@ -106,6 +109,27 @@ def log_sum_exp_table():
         print(f"  {str(shape):15s}" + "".join(f" {t:9.0f}" for t in times))
 
 
+def exp_slice_table(counts, pi, log_f, k):
+    """The inputs of both exps on the first slice that em._e_step_block
+    hands to mixture._log_sum_exp, timed through _exp_in_place and np.exp."""
+    scores = mixture._scores(counts, pi, log_f)
+    view = scores.reshape(scores.shape[0], -1, k)
+    part = view[:max(1, em._SORT_BYTES // (8 * scores.shape[1]))]
+    shifted = part - part.max(axis=-1, keepdims=True)
+    log_resp = part - mixture._log_sum_exp(part)[..., None]
+    print(f"\nE-step slice {part.shape}, ns per element (best of {REPEATS}):")
+    print(f"  {'input':17s} {'below -746':>10s} {'_exp_in_place':>13s} {'np.exp':>8s} "
+          f"{'putmask':>8s} {'* 0/1 mask':>10s}")
+    for label, values in [("shifted scores", shifted), ("log resp", log_resp)]:
+        low = values < mixture._EXP_ZERO_BELOW
+        keep = (~low).astype(np.float64)
+        times = [best_ms(op, values.copy) * 1e6 / values.size for op in [
+            mixture._exp_in_place, lambda a: np.exp(a, out=a),
+            lambda a: np.putmask(a, low, 0.0), lambda a: np.multiply(a, keep, out=a)]]
+        print(f"  {label:17s} {np.mean(low):10.1%} {times[0]:13.2f} {times[1]:8.2f} "
+              f"{times[2]:8.2f} {times[3]:10.2f}")
+
+
 def main():
     mix = planted_mixture(20, 300, seed=np.random.SeedSequence((0, 1)), concentration=0.1)
     corpus = generate_corpus(mix, 5804, (100, 900), seed=np.random.SeedSequence((0, 2))).corpus
@@ -129,6 +153,8 @@ def main():
         values = rng.uniform(low, high, size)
         ms = best_ms(lambda a: np.exp(a, out=a), values.copy)
         print(f"  {label:17s} {ms * 1e6 / size:8.2f}")
+
+    exp_slice_table(counts, pi, log_f, 20)
 
     subnormal = (resp > 0) & (resp < np.finfo(np.float64).smallest_normal)
     print(f"\nX.T @ resp, ms (zeros {np.mean(resp == 0):.1%}, "

@@ -136,7 +136,7 @@ def cmd_report(args) -> None:
                 by_year.setdefault(year, []).append(row)
         evolution = [[year, k, repr(mean)] for year, rows in sorted(by_year.items())
                      for k, mean in enumerate(resp[rows].mean(axis=0).tolist())]
-    labels = map_assign(corpus, model).labels
+    labels = map_assign(corpus, model)
 
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(os.path.join(args.out_dir, "topwords.csv"),
@@ -211,8 +211,8 @@ def load_synth_config(path) -> dict:
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in length_range)):
         raise ConfigError("expected [min, max] integers", field="length_range")
     out["length_range"] = (length_range[0], length_range[1])
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in out["seeds"]):
-        raise ConfigError("expected a list of integers", field="seeds")
+    if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in out["seeds"]):
+        raise ConfigError("expected a list of integers >= 0", field="seeds")
     if "ladder" in config:
         ladder = config["ladder"]
         if (not isinstance(ladder, list) or not ladder
@@ -414,6 +414,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "sweep" and args.kmax is None and args.ladder is None:
             parser.error("sweep needs --kmax or --ladder")
+        if args.command == "ingest" and not 0 < args.max_doc_fraction <= 1:
+            parser.error("argument --max-doc-fraction: must be in (0, 1], "
+                         f"got {args.max_doc_fraction}")
         if args.command == "select" and args.corpus is not None and (
                 args.tokens is not None or args.docs is not None):
             parser.error("select takes --corpus or --tokens/--docs, not both")

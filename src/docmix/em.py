@@ -111,6 +111,8 @@ class EmConfig:
             raise ConfigError("must be finite and > 0", field="rel_tol")
         if not 1 < self.annihilation_divisor < math.inf:
             raise ConfigError("must be finite and > 1", field="annihilation_divisor")
+        if self.rng_seed < 0:
+            raise ConfigError("must be >= 0", field="rng_seed")
         if not 0 <= self.init_noise_scale < math.inf:
             raise ConfigError("must be finite and >= 0", field="init_noise_scale")
         if self.annihilation not in ANNIHILATION_RULES:

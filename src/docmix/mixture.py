@@ -28,6 +28,9 @@ log-sum-exp takes the row maxima and this sum as column passes, one
 numpy call per component, and _sum_last_axis rebuilds the pairwise
 order from them. test_sum_is_numpys_pairwise_order in
 tests/test_mixture.py is the guard that fails first if numpy changes it.
+
+A fit is evaluated from labels: map_assign returns the label array, and
+weighted_kl_risk takes the planted rows and both label vectors.
 """
 
 from __future__ import annotations
@@ -164,11 +167,6 @@ class MixtureModel:
                             epsilon=self.epsilon)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    labels: np.ndarray
-
-
 def score_matrix(counts: sparse.csr_matrix, model: MixtureModel) -> np.ndarray:
     """L x K matrix of a_k scores; column k never reads component j != k."""
     return _scores(counts, model.pi, model.log_f)
@@ -261,10 +259,9 @@ def log_likelihood(corpus: Corpus, model: MixtureModel) -> float:
     return float(np.add.reduce(per_doc_log_density(corpus, model)))
 
 
-def map_assign(corpus: Corpus, model: MixtureModel) -> Assignment:
-    """Most probable component per document, ties to the lowest index."""
-    scores = score_matrix(corpus.csr(), model)
-    return Assignment(labels=np.argmax(scores, axis=1))
+def map_assign(corpus: Corpus, model: MixtureModel) -> np.ndarray:
+    """Label array: the most probable component per document, ties to the lowest index."""
+    return np.argmax(score_matrix(corpus.csr(), model), axis=1)
 
 
 def kl_categorical(s, t) -> float:
@@ -282,22 +279,26 @@ def kl_categorical(s, t) -> float:
     return float(np.add.reduce(s[support] * np.log(s[support] / t[support])))
 
 
-def weighted_kl_risk(true_densities, model: MixtureModel, assignment: Assignment,
+def weighted_kl_risk(true_densities, true_labels, model: MixtureModel, fit_labels,
                      doc_lengths, total_tokens: int) -> float:
-    """Length-weighted KL risk of assigned component densities vs the truth."""
-    true_densities = np.asarray(true_densities, dtype=np.float64)
+    """Sum over documents l of n_l / n * KL(true_densities[true_labels[l]] ||
+    f[fit_labels[l]]): one KL per (true, fitted) label pair that occurs, the
+    terms added in document order, bit for bit as a loop over documents."""
+    true_labels, fit_labels = np.asarray(true_labels), np.asarray(fit_labels)
     lengths = np.asarray(doc_lengths, dtype=np.float64)
-    labels = assignment.labels
-    if not (len(true_densities) == len(lengths) == len(labels)):
-        raise ValueError("true_densities, doc_lengths and labels must align")
+    k_fit = model.num_components
+    if not (lengths.ndim == 1 and true_labels.shape == fit_labels.shape == lengths.shape):
+        raise ValueError("true_labels, fit_labels and doc_lengths must align")
+    if np.any(np.minimum(true_labels, fit_labels) < 0) or np.any(fit_labels >= k_fit):
+        raise ValueError(f"labels must be nonnegative and fitted ones below K = {k_fit}")
+    pairs, pair_of_doc = np.unique(true_labels * k_fit + fit_labels, return_inverse=True)
     fitted = model.densities
-    risk = 0.0
-    for l in range(len(labels)):
-        term = kl_categorical(true_densities[l], fitted[labels[l]])
-        if math.isinf(term):
-            return float("inf")
-        risk += lengths[l] / total_tokens * term
-    return risk
+    kl = np.array([kl_categorical(true_densities[p // k_fit], fitted[p % k_fit])
+                   for p in pairs.tolist()])
+    if np.isinf(kl).any():
+        return float("inf")
+    terms = lengths / total_tokens * kl[pair_of_doc]
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])  # the loop's sum, from 0.0
 
 
 def dumps_model(model: MixtureModel) -> str:

@@ -3,7 +3,8 @@
 Everything here exists to check the estimator from the outside: corpora
 drawn from known parameters, a literal per-token likelihood evaluated in
 50-digit arithmetic that never touches the log-sum-exp code path, and a
-risk/agreement report against the planted truth.
+risk/agreement report against the planted truth, computed from the
+planted and MAP labels with no per-document density rows.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ class PlantedCorpus:
     corpus: Corpus
     labels_true: np.ndarray
     mixture: PlantedMixture
-
-    @property
-    def true_densities(self) -> np.ndarray:
-        """Each document's planted component density, one row per document."""
-        return self.mixture.densities[self.labels_true]
 
 
 def planted_mixture(num_comps: int, num_words: int, seed,
@@ -179,16 +175,14 @@ def evaluate_run(planted: PlantedCorpus, fit: FitResult) -> EvalReport:
     Component counts may differ; the matching is the best injective map
     between the two label sets and documents outside it count as errors.
     """
-    corpus = planted.corpus
-    if fit.model.num_words != corpus.num_words:
+    corpus, model = planted.corpus, fit.model
+    if model.num_words != corpus.num_words:
         raise ValueError("fitted model and planted corpus disagree on B")
-    assignment = map_assign(corpus, fit.model)
-    risk = weighted_kl_risk(planted.true_densities, fit.model, assignment,
+    labels = map_assign(corpus, model)
+    risk = weighted_kl_risk(planted.mixture.densities, planted.labels_true, model, labels,
                             corpus.doc_lengths, corpus.total_tokens)
-    matched, matching = _best_matching(
-        planted.labels_true, assignment.labels,
-        planted.mixture.num_components, fit.model.num_components,
-    )
+    matched, matching = _best_matching(planted.labels_true, labels,
+                                       planted.mixture.num_components, model.num_components)
     return EvalReport(
         risk=risk,
         agreement=matched / corpus.num_docs,

@@ -326,11 +326,11 @@ def test_09_component_permutation_invariance(verdict):
         corpus = _random_corpus(int(rng.integers(3, 9)), b, 5, 30, rng)
         model = _random_model(k, b, 1.0 / 500.0, rng)
         base_ll = log_likelihood(corpus, model)
-        base_labels = map_assign(corpus, model).labels
+        base_labels = map_assign(corpus, model)
         order = rng.permutation(k)
         moved = model.permuted(order)
         loglik_bad += log_likelihood(corpus, moved) != base_ll
-        moved_labels = map_assign(corpus, moved).labels
+        moved_labels = map_assign(corpus, moved)
         label_bad += not np.array_equal(np.asarray(order)[moved_labels],
                                         base_labels)
     verdict(9, loglik_bad == 0 and label_bad == 0,

@@ -318,6 +318,14 @@ class TestSweepSelect:
         assert "init_noise_scale" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        # the corpus path does not exist: the seed is rejected before it is read
+        code = cli.run(["sweep", str(tmp_path / "missing.json"), "--out",
+                        str(tmp_path / "s.csv"), "--kmax", "2", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config field 'rng_seed': must be >= 0\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_non_finite_rel_tol_is_config_error(self, planted_setup, tmp_path, capsys):
         # a run log holding it would not be JSON
         _, corpus_path = planted_setup
@@ -358,6 +366,15 @@ class TestUsageErrors:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan", "abc"])
+    def test_bad_max_doc_fraction(self, tmp_path, capsys, value):
+        # neither input file exists: the flag is rejected before either is opened
+        out = tmp_path / "corpus.json"
+        assert cli.run(["ingest", str(tmp_path / "docword.txt"), str(tmp_path / "vocab.txt"),
+                        "--out", str(out), "--max-doc-fraction", value]) == 1
+        assert "error: argument --max-doc-fraction: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--tokens", "1"], ["--docs", "5"],
                                        ["--tokens", "1", "--docs", "5"]])
@@ -596,6 +613,13 @@ class TestSynth:
             path.write_text(text)
             assert cli.run(["synth", str(path), "--out-dir",
                             str(tmp_path / "o")]) == 2
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        path = synth_config(tmp_path, seeds=[0, -1])
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field 'seeds': expected a list of integers >= 0\n")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_em_override(self, tmp_path):
         path = synth_config(tmp_path, em={"bogus_knob": 1})

@@ -751,6 +751,7 @@ class TestConfig:
         ("rel_tol", math.inf),
         ("annihilation_divisor", 1.0),
         ("annihilation_divisor", math.inf),
+        ("rng_seed", -1),
         ("init_noise_scale", -0.5),
         ("init_noise_scale", math.inf),
         ("annihilation", "bogus"),

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docmix.corpus import Corpus, Vocabulary
+from docmix.em import EmConfig, random_init, run_em
 from docmix.errors import FormatError
 import docmix.mixture as mixture
 from docmix.mixture import (
-    Assignment,
     IdentifiabilityWarning,
     MixtureModel,
     default_floor,
@@ -26,6 +26,8 @@ from docmix.mixture import (
     score_matrix,
     weighted_kl_risk,
 )
+
+from docmix.synth import generate_corpus, planted_mixture
 
 from conftest import random_corpus, random_model
 
@@ -102,15 +104,15 @@ class TestPermutation:
             order = rng.permutation(k)
             permuted = model.permuted(order)
             assert log_likelihood(corpus, permuted) == log_likelihood(corpus, model)
-            base = map_assign(corpus, model).labels
-            moved = map_assign(corpus, permuted).labels
+            base = map_assign(corpus, model)
+            moved = map_assign(corpus, permuted)
             assert np.array_equal(np.asarray(order)[moved], base)
 
     def test_map_tie_takes_lowest_index(self):
         f = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2]])
         model = MixtureModel(pi=np.array([0.5, 0.5]), log_f=np.log(f), epsilon=0.05)
         corpus = three_word_corpus()
-        assert np.array_equal(map_assign(corpus, model).labels, [0, 0])
+        assert np.array_equal(map_assign(corpus, model), [0, 0])
 
 
 class TestKl:
@@ -136,12 +138,79 @@ class TestKl:
     def test_weighted_risk_weights_by_length(self):
         model = two_component_model()
         truth = np.array([[0.4, 0.4, 0.2], [0.1, 0.1, 0.8]])
-        labels = Assignment(labels=np.array([0, 1]))
-        per_doc_truth = truth[[0, 1]]
-        risk = weighted_kl_risk(per_doc_truth, model, labels, [3, 4], 7)
+        risk = weighted_kl_risk(truth, [0, 1], model, [0, 1], [3, 4], 7)
         expected = (3 / 7) * kl_categorical(truth[0], model.densities[0]) \
             + (4 / 7) * kl_categorical(truth[1], model.densities[1])
         assert abs(risk - expected) < 1e-14
+
+
+def per_document_risk(true_densities, model, labels, doc_lengths, total_tokens):
+    """The per-document loop weighted_kl_risk replaced, kept as its reference:
+    one KL per document against that document's (L, B) truth row."""
+    lengths = np.asarray(doc_lengths, dtype=np.float64)
+    fitted = model.densities
+    risk = 0.0
+    for l in range(len(labels)):
+        term = kl_categorical(true_densities[l], fitted[labels[l]])
+        if math.isinf(term):
+            return float("inf")
+        risk += lengths[l] / total_tokens * term
+    return risk
+
+
+def planted_fit(k_true, num_words, num_docs, k_fit, seed):
+    """A planted corpus and a short EM fit of k_fit components to it."""
+    mix = planted_mixture(k_true, num_words, seed=seed, concentration=0.5)
+    planted = generate_corpus(mix, num_docs, (20, 120), seed=seed + 1)
+    corpus = planted.corpus
+    init = random_init(corpus, k_fit, seed + 2, default_floor(corpus.total_tokens))
+    return planted, run_em(corpus, init, EmConfig(max_iters=15)).model
+
+
+class TestWeightedRisk:
+    @pytest.mark.parametrize("k_true,num_words,num_docs,k_fit", [
+        (3, 20, 200, 4), (4, 50, 300, 3), (3, 12, 150, 3), (1, 8, 40, 2),
+    ])
+    def test_equals_per_document_loop(self, k_true, num_words, num_docs, k_fit):
+        planted, model = planted_fit(k_true, num_words, num_docs, k_fit, seed=10 * k_fit + k_true)
+        corpus, truth = planted.corpus, planted.mixture.densities
+        labels = map_assign(corpus, model)
+        got = weighted_kl_risk(truth, planted.labels_true, model, labels,
+                               corpus.doc_lengths, corpus.total_tokens)
+        expected = per_document_risk(truth[planted.labels_true], model, labels,
+                                     corpus.doc_lengths, corpus.total_tokens)
+        assert type(got) is float and 0 < got < math.inf
+        assert repr(got) == repr(float(expected))
+
+    def test_fit_with_an_unused_component(self):
+        planted, model = planted_fit(3, 20, 200, 4, seed=7)
+        pi = model.pi.copy()
+        pi[2] = 0.0  # a zero-weight component is never the MAP label
+        model = MixtureModel(pi=pi / pi.sum(), log_f=model.log_f, epsilon=model.epsilon)
+        corpus, truth = planted.corpus, planted.mixture.densities
+        labels = map_assign(corpus, model)
+        assert 2 not in labels and len(set(labels.tolist())) == 3
+        got = weighted_kl_risk(truth, planted.labels_true, model, labels,
+                               corpus.doc_lengths, corpus.total_tokens)
+        expected = per_document_risk(truth[planted.labels_true], model, labels,
+                                     corpus.doc_lengths, corpus.total_tokens)
+        assert repr(got) == repr(float(expected))
+
+    @pytest.mark.parametrize("true_labels,fit_labels,lengths", [
+        ([0, 1], [0, 1, 1], [3, 4, 5]),
+        ([0, 1, 1], [0, 1], [3, 4, 5]),
+        ([0, 1, 1], [0, 1, 1], [3, 4]),
+        ([[0, 1, 1]], [[0, 1, 1]], [[3, 4, 5]]),
+        ([0, 1, 1], [0, 1, 2], [3, 4, 5]),
+        ([0, 1, 1], [0, -1, 1], [3, 4, 5]),
+        ([0, -1, 1], [0, 1, 1], [3, 4, 5]),
+    ], ids=["short-true", "short-fit", "short-lengths", "two-d", "fit-label-too-big",
+            "negative-fit-label", "negative-true-label"])
+    def test_misaligned_or_out_of_range_labels_raise(self, true_labels, fit_labels, lengths):
+        truth = np.array([[0.4, 0.4, 0.2], [0.1, 0.1, 0.8]])
+        with pytest.raises(ValueError):
+            weighted_kl_risk(truth, true_labels, two_component_model(), fit_labels,
+                             lengths, 12)
 
 
 class TestModelValidation:
@@ -243,7 +312,7 @@ def test_random_models_score_finitely(seed):
     corpus = random_corpus(6, b, 25, seed=seed + 1)
     dens = per_doc_log_density(corpus, model)
     assert np.all(np.isfinite(dens))
-    labels = map_assign(corpus, model).labels
+    labels = map_assign(corpus, model)
     assert labels.min() >= 0
     assert labels.max() < model.num_components
 

@@ -97,10 +97,6 @@ class TestGenerateCorpus:
         assert planted.corpus.num_docs == 25
         assert all(5 <= n <= 9 for n in planted.corpus.doc_lengths)
         assert planted.labels_true.shape == (25,)
-        assert planted.true_densities.shape == (25, 10)
-        for l, lab in enumerate(planted.labels_true):
-            assert np.array_equal(planted.true_densities[l],
-                                  mix.densities[lab])
 
     def test_deterministic(self):
         mix = planted_mixture(2, 6, seed=8)
