@@ -198,7 +198,6 @@ def load_synth_config(path) -> dict:
         "num_docs": _require(config, "num_docs", int),
         "seeds": _require(config, "seeds", list),
         "min_pairwise_kl": _optional(config, "min_pairwise_kl", float, 0.0),
-        "mode": config.get("mode", "slope"),
         "concentration": _optional(config, "concentration", float, 1.0),
         "epsilon": None,
     }
@@ -218,6 +217,9 @@ def load_synth_config(path) -> dict:
         if (not isinstance(ladder, list) or not ladder
                 or not all(isinstance(k, int) and not isinstance(k, bool) for k in ladder)):
             raise ConfigError("expected a nonempty list of integers", field="ladder")
+        if not all(1 <= k <= out["num_docs"] for k in ladder):
+            raise ConfigError(f"entries must be in 1..num_docs = {out['num_docs']}",
+                              field="ladder")
         out["ladder"] = list(ladder)
     elif "k_max" in config:
         k_max = _require(config, "k_max", int)
@@ -237,13 +239,18 @@ def load_synth_config(path) -> dict:
         out["em"] = EmConfig(**em_overrides)
     except TypeError as exc:
         raise ConfigError(str(exc), field="em") from exc
-    if out["mode"] not in MODES:
-        raise ConfigError(f"unknown mode {out['mode']!r}", field="mode")
+    modes = config.get("mode", "slope")
+    modes = [modes] if isinstance(modes, str) else modes
+    if (not isinstance(modes, list) or not modes or not all(m in MODES for m in modes)
+            or len(set(modes)) < len(modes)):  # only strings are in MODES, so hashable
+        raise ConfigError(f"expected one of {'|'.join(MODES)} or a nonempty list of "
+                          f"distinct ones, got {config.get('mode')!r}", field="mode")
+    out["modes"] = modes
     return out
 
 
 def cmd_synth(args) -> None:
-    """Generate, sweep, select, and evaluate once per seed; write summary.csv."""
+    """Per seed: generate, sweep once, then select and evaluate in each listed mode."""
     config = load_synth_config(args.config)
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
@@ -262,22 +269,17 @@ def cmd_synth(args) -> None:
                                     epsilon=config["epsilon"], threads=args.threads)
         for k_max, message in failures:
             print(f"seed {seed}: rung {k_max} failed: {message}", file=sys.stderr)
-        report = select_from_sweep(sweep, config["mode"],
-                                   total_tokens=planted.corpus.total_tokens,
-                                   num_docs=planted.corpus.num_docs)
-        chosen = next(e for e in sweep.entries if e.num_comps == report.k_hat)
-        evaluation = evaluate_run(planted, chosen.fit)
-        rows.append({
-            "seed": seed,
-            "K_hat": report.k_hat,
-            "risk": float(evaluation.risk),
-            "agreement": float(evaluation.agreement),
-        })
+        for mode in config["modes"]:
+            report = select_from_sweep(sweep, mode,
+                                       total_tokens=planted.corpus.total_tokens,
+                                       num_docs=planted.corpus.num_docs)
+            chosen = next(e for e in sweep.entries if e.num_comps == report.k_hat)
+            evaluation = evaluate_run(planted, chosen.fit)
+            rows.append([seed, mode, report.k_hat, repr(float(evaluation.risk)),
+                         repr(float(evaluation.agreement))])
     summary_path = os.path.join(args.out_dir, "summary.csv")
-    _write_csv(summary_path, ["seed", "K_hat", "risk", "agreement"],
-               ([row["seed"], row["K_hat"], repr(row["risk"]), repr(row["agreement"])]
-                for row in rows))
-    print(f"ran {len(rows)} seeds; summary in {summary_path}")
+    _write_csv(summary_path, ["seed", "mode", "K_hat", "risk", "agreement"], rows)
+    print(f"ran {len(config['seeds'])} seeds; summary in {summary_path}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop words in more than this fraction of docs (default 0.8)")
     p.add_argument("--top-b", type=_positive_int, default=300,
                    help="keep this many most frequent words (default 300)")
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, parser=p)
 
     p = sub.add_parser("sweep", help="fit a ladder of component counts")
     p.add_argument("corpus", help="corpus file from ingest")
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lognormal sigma of the random-start densities")
     p.add_argument("--epsilon", type=_epsilon_flag, default=None,
                    help="density floor: '1/n' (default) or a float in (0,1)")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("select", help="pick the component count from a sweep CSV")
     p.add_argument("sweep", help="sweep CSV from the sweep command")
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative slope-change tolerance (default 0.05)")
     p.add_argument("--slope-shape", choices=SLOPE_SHAPES, default="dimension",
                    help="penalty shape used by slope mode")
-    p.set_defaults(func=cmd_select)
+    p.set_defaults(func=cmd_select, parser=p)
 
     p = sub.add_parser("report", help="top words, assignments, and yearly evolution")
     p.add_argument("corpus", help="corpus file from ingest")
@@ -410,16 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        # args.parser is the subcommand's, so these print its usage line
         if args.command == "sweep" and args.kmax is None and args.ladder is None:
-            parser.error("sweep needs --kmax or --ladder")
+            args.parser.error("sweep needs --kmax or --ladder")
         if args.command == "ingest" and not 0 < args.max_doc_fraction <= 1:
-            parser.error("argument --max-doc-fraction: must be in (0, 1], "
-                         f"got {args.max_doc_fraction}")
+            args.parser.error("argument --max-doc-fraction: must be in (0, 1], "
+                              f"got {args.max_doc_fraction}")
         if args.command == "select" and args.corpus is not None and (
                 args.tokens is not None or args.docs is not None):
-            parser.error("select takes --corpus or --tokens/--docs, not both")
+            args.parser.error("select takes --corpus or --tokens/--docs, not both")
         args.func(args)
     except SystemExit as exc:
         code = exc.code

@@ -14,6 +14,7 @@ from docmix.corpus import load_corpus, save_corpus
 from docmix.em import EmConfig
 from docmix.errors import NumericalError
 from docmix.mixture import load_model
+from docmix.selection import MODES
 from docmix.synth import generate_corpus, planted_mixture
 
 
@@ -373,7 +374,9 @@ class TestUsageErrors:
         out = tmp_path / "corpus.json"
         assert cli.run(["ingest", str(tmp_path / "docword.txt"), str(tmp_path / "vocab.txt"),
                         "--out", str(out), "--max-doc-fraction", value]) == 1
-        assert "error: argument --max-doc-fraction: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: docmix ingest ")
+        assert "error: argument --max-doc-fraction: " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--tokens", "1"], ["--docs", "5"],
@@ -384,8 +387,19 @@ class TestUsageErrors:
         capsys.readouterr()
         assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode", "bic",
                         *flags, "--corpus", str(corpus_path)]) == 1
-        assert capsys.readouterr().err.endswith(
-            "error: select takes --corpus or --tokens/--docs, not both\n")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: docmix select ")
+        assert err.endswith("error: select takes --corpus or --tokens/--docs, not both\n")
+        assert not out.exists()
+
+    def test_sweep_needs_kmax_or_ladder(self, fitted_setup, tmp_path, capsys):
+        corpus_path, _, _ = fitted_setup
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert cli.run(["sweep", str(corpus_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: docmix sweep ")
+        assert err.endswith("error: sweep needs --kmax or --ladder\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [
@@ -560,10 +574,40 @@ class TestSynth:
             f"ran 2 seeds; summary in {out_dir / 'summary.csv'}\n")
         with open(out_dir / "summary.csv") as handle:
             rows = list(csv.reader(handle))
-        assert rows[0] == ["seed", "K_hat", "risk", "agreement"]
+        assert rows[0] == ["seed", "mode", "K_hat", "risk", "agreement"]
         assert [r[0] for r in rows[1:]] == ["0", "1"]
         for row in rows[1:]:
-            assert 0.0 <= float(row[3]) <= 1.0
+            assert 0.0 <= float(row[4]) <= 1.0
+
+    def test_every_listed_mode_matches_its_single_mode_run(self, tmp_path):
+        def summary(mode, name):
+            path = synth_config(tmp_path, mode=mode)
+            assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / name)]) == 0
+            with open(tmp_path / name / "summary.csv") as handle:
+                return list(csv.reader(handle))[1:]
+
+        rows = summary(list(MODES), "all")
+        assert [(r[0], r[1]) for r in rows] == [(seed, mode) for seed in ("0", "1")
+                                                for mode in MODES]
+        for mode in MODES:
+            assert summary(mode, mode) == [r for r in rows if r[1] == mode]
+
+    @pytest.mark.parametrize("mode", ["nope", [], ["slope", "slope"], ["slope", 3],
+                                      [["slope"]], {}],
+                             ids=["unknown", "empty", "repeated", "number", "nested", "object"])
+    def test_bad_mode_is_config_error(self, tmp_path, capsys, mode):
+        path = synth_config(tmp_path, mode=mode)
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: config field 'mode'")
+        assert not (tmp_path / "o").exists()
+
+    def test_study_config_loads(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                            "compare_selection_modes.json")
+        config = cli.load_synth_config(path)
+        assert config["modes"] == list(MODES)
+        assert config["seeds"] == list(range(10))
+        assert config["ladder"] == range(1, 11)
 
     def test_deterministic_bytes(self, tmp_path):
         path = synth_config(tmp_path)
@@ -593,6 +637,13 @@ class TestSynth:
         path.write_text(json.dumps(config))
         assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: config field 'k_max'")
+
+    @pytest.mark.parametrize("ladder", [[0], [31]], ids=["0", "31"])
+    def test_ladder_outside_num_docs_is_config_error(self, tmp_path, capsys, ladder):
+        path = synth_config(tmp_path, ladder=ladder)
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: config field 'ladder'")
+        assert not (tmp_path / "o" / "summary.csv").exists()
 
     def test_bad_schema_version(self, tmp_path):
         path = synth_config(tmp_path, schema_version=2)

@@ -148,11 +148,12 @@ SYNTH_TEXT = json.dumps({
 })
 
 
-# the same config with its ladder given as k_max
+# the same config with its ladder given as k_max, and with a list of modes
 SYNTH_K_MAX_TEXT = SYNTH_TEXT.replace('"ladder": [1, 2, 3]', '"k_max": 3')
+SYNTH_MODES_TEXT = SYNTH_TEXT.replace('"mode": "bic"', '"mode": ["slope", "bic"]')
 
 
-@given(st.data(), st.sampled_from([SYNTH_TEXT, SYNTH_K_MAX_TEXT]))
+@given(st.data(), st.sampled_from([SYNTH_TEXT, SYNTH_K_MAX_TEXT, SYNTH_MODES_TEXT]))
 @EXAMPLES
 def test_load_synth_config(data, base):
     with tempfile.TemporaryDirectory() as work:

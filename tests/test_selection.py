@@ -1,6 +1,4 @@
-import importlib.util
 import math
-import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -396,15 +394,3 @@ def test_derive_seed_is_stable_and_spread():
     assert derive_seed(7, 3) != derive_seed(7, 4)
     assert derive_seed(8, 3) != derive_seed(7, 3)
     assert 0 <= derive_seed(0, 1) < 2**32
-
-
-def test_compare_selection_modes_script(capsys):
-    path = pathlib.Path(__file__).parent.parent / "scripts" / "compare_selection_modes.py"
-    spec = importlib.util.spec_from_file_location("compare_selection_modes", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--num-seeds", "1", "--kmax", "5", "--num-docs", "60",
-                        "--starts", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["mode", "hits"])
-    assert [row.split()[0] for row in lines[header + 1:]] == list(script.MODES)
