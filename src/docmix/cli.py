@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -33,7 +34,7 @@ from .errors import (
     DocmixError,
     NumericalError,
 )
-from .mixture import dumps_model, load_model, map_assign
+from .mixture import load_model, map_assign, save_model
 from .selection import (
     MODES,
     SLOPE_SHAPES,
@@ -82,7 +83,7 @@ def cmd_sweep(args) -> None:
         os.makedirs(args.fits_dir, exist_ok=True)
         for entry in sweep.entries:
             stem = os.path.join(args.fits_dir, f"fit_K{entry.num_comps}")
-            atomic_write_text(stem + ".model.json", dumps_model(entry.fit.model))
+            save_model(entry.fit.model, stem + ".model.json")
             atomic_write_text(stem + ".runlog.json", dumps_run_log(entry.fit, config))
     for k_max, message in failures:
         print(f"rung {k_max} failed: {message}", file=sys.stderr)
@@ -201,14 +202,23 @@ def load_synth_config(path) -> dict:
         "concentration": _optional(config, "concentration", float, 1.0),
         "epsilon": None,
     }
+    for key in ("k_true", "num_words"):
+        if out[key] < 1:
+            raise ConfigError("must be >= 1", field=key)
+    if not 0 < out["concentration"] < math.inf:
+        raise ConfigError("must be finite and > 0", field="concentration")
+    if not math.isfinite(out["min_pairwise_kl"]):
+        raise ConfigError("must be finite", field="min_pairwise_kl")
     if config.get("epsilon") is not None:
         out["epsilon"] = _require(config, "epsilon", float)
         if not 0 < out["epsilon"] < 1:
             raise ConfigError("must be null or in (0, 1)", field="epsilon")
     length_range = _require(config, "length_range", list)
     if (len(length_range) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in length_range)):
-        raise ConfigError("expected [min, max] integers", field="length_range")
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in length_range)
+            or not 1 <= length_range[0] <= length_range[1]):
+        raise ConfigError("expected [min, max] integers with 1 <= min <= max",
+                          field="length_range")
     out["length_range"] = (length_range[0], length_range[1])
     if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in out["seeds"]):
         raise ConfigError("expected a list of integers >= 0", field="seeds")

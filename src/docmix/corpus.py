@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from typing import IO, Callable, Iterable, TypeVar
 
@@ -211,11 +211,6 @@ class Corpus:
         """Total count of every word across the corpus."""
         return np.bincount(self.counts.indices, weights=self.counts.data,
                            minlength=self.num_words)
-
-    def with_years(self, years: dict[int, int]) -> "Corpus":
-        """Attach a doc_id -> year map, restricted to retained documents."""
-        known = {doc_id: years[doc_id] for doc_id in self.doc_ids if doc_id in years}
-        return replace(self, doc_years=known)
 
 
 def parse_bag_of_words(docword_lines: Iterable[str], vocab_lines: Iterable[str]) -> Corpus:

@@ -129,16 +129,19 @@ class EmConfig:
 class FitResult:
     model: MixtureModel
     loglik_trace: list[float]
-    k_initial: int
-    k_final: int
     annihilation_events: list[tuple[int, list[int]]]
     seed: int | None
     converged: bool
     eta_effective: float
 
-    def __post_init__(self):
-        if self.k_final > self.k_initial:
-            raise ValueError("k_final cannot exceed k_initial")
+    @property
+    def k_final(self) -> int:
+        return self.model.num_components
+
+    @property
+    def k_initial(self) -> int:
+        """k_final plus every component the annihilation events removed."""
+        return self.k_final + sum(len(gone) for _, gone in self.annihilation_events)
 
 
 def water_fill_project(weights, epsilon: float) -> np.ndarray:
@@ -259,7 +262,6 @@ def _m_step_block(counts_t, resp: np.ndarray, k: int, epsilon: float,
     weighted_counts = counts_t.dot(resp)
     weighted_counts *= 1 / _RESP_SCALE
     live = col_mass > 0
-    pi[~live] = 0.0
     log_f = np.full((resp.shape[1], num_words), -np.log(num_words))
     log_f[live] = np.log(_water_fill_rows(weighted_counts.T[live], epsilon))
     return pi, log_f
@@ -319,10 +321,9 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
     """
     counts = corpus.csr()
     counts_t = counts.T  # once: each .T builds and checks a new csc_matrix
-    num_models, num_comps = pi.shape
+    num_models, k = pi.shape
     if (weight_offset or divisor) and num_models > 1:
         raise ValueError(f"weight_offset or divisor takes one model, got {num_models}")
-    k = num_comps
     pi = pi.ravel()
     traces: list[list[float]] = [[] for _ in range(num_models)]
     events: list[tuple[int, list[int]]] = []
@@ -365,8 +366,6 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
         model=MixtureModel(pi=pi[s * k:(s + 1) * k].copy(),
                            log_f=log_f[s * k:(s + 1) * k].copy(), epsilon=epsilon),
         loglik_trace=traces[s],
-        k_initial=num_comps,
-        k_final=k,
         annihilation_events=list(events),
         seed=seeds[s],
         converged=eta[s] < rel_tol,
@@ -522,7 +521,6 @@ def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult
     offset = len(start.loglik_trace) - 1
     events = [(offset + i, gone) for i, gone in fit.annihilation_events]
     return replace(fit, loglik_trace=start.loglik_trace + fit.loglik_trace[1:],
-                   k_initial=start.k_initial,
                    annihilation_events=start.annihilation_events + events)
 
 
@@ -536,7 +534,7 @@ def _config_record(config: EmConfig) -> dict:
     return record
 
 
-def dumps_run_log(fit: FitResult, config: EmConfig | None = None) -> str:
+def dumps_run_log(fit: FitResult, config: EmConfig) -> str:
     return dumps_document("runlog", {
         "k_initial": fit.k_initial,
         "k_final": fit.k_final,
@@ -545,5 +543,5 @@ def dumps_run_log(fit: FitResult, config: EmConfig | None = None) -> str:
         "eta_effective": fit.eta_effective,
         "annihilation_events": [[i, list(removed)] for i, removed in fit.annihilation_events],
         "loglik_trace": fit.loglik_trace,
-        "config": _config_record(config) if config is not None else None,
+        "config": _config_record(config),
     })

@@ -214,17 +214,11 @@ def select_model(sweep: SweepResult, penalty, mode: str = "custom",
                  diagnostics: SlopeDiagnostics | None = None) -> SelectionReport:
     """Minimize contrast + penalty over the sweep; ties go to smaller K.
 
-    ``penalty`` is either a mapping K -> value covering every K in the
-    sweep or a sequence aligned with its entries. Every criterion must
-    be finite.
+    ``penalty`` is a sequence aligned with the sweep's entries. Every
+    criterion must be finite.
     """
     if len(sweep) == 0:
         raise ValueError("sweep is empty")
-    if hasattr(penalty, "keys"):
-        for e in sweep.entries:
-            if e.num_comps not in penalty:
-                raise ValueError(f"penalty undefined for K={e.num_comps}")
-        penalty = [penalty[e.num_comps] for e in sweep.entries]
     if len(penalty) != len(sweep):
         raise ValueError("penalty sequence does not align with the sweep")
     criteria = tuple((e.num_comps, e.min_contrast + float(pen))
@@ -313,8 +307,6 @@ def run_sweep(corpus: Corpus, ladder, config: EmConfig,
         raise ValueError("ladder is empty")
     if any(k < 1 for k in ladder):
         raise ValueError("ladder entries must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     best: dict[int, SweepEntry] = {}
     failures: list[tuple[int, str]] = []
     for k_max in ladder:

@@ -157,7 +157,6 @@ def brute_force_loglik(corpus: Corpus, model: MixtureModel) -> float:
 class EvalReport:
     risk: float
     agreement: float
-    matching: tuple[tuple[int, int], ...]
 
 
 def _best_matching(true_labels: np.ndarray, fit_labels: np.ndarray,
@@ -181,10 +180,6 @@ def evaluate_run(planted: PlantedCorpus, fit: FitResult) -> EvalReport:
     labels = map_assign(corpus, model)
     risk = weighted_kl_risk(planted.mixture.densities, planted.labels_true, model, labels,
                             corpus.doc_lengths, corpus.total_tokens)
-    matched, matching = _best_matching(planted.labels_true, labels,
-                                       planted.mixture.num_components, model.num_components)
-    return EvalReport(
-        risk=risk,
-        agreement=matched / corpus.num_docs,
-        matching=tuple(matching),
-    )
+    matched, _ = _best_matching(planted.labels_true, labels,
+                                planted.mixture.num_components, model.num_components)
+    return EvalReport(risk=risk, agreement=matched / corpus.num_docs)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import docmix.cli as cli
+import docmix.selection as selection
 from docmix.corpus import load_corpus, save_corpus
 from docmix.em import EmConfig
-from docmix.errors import NumericalError
+from docmix.errors import DegenerateFitError, NumericalError
 from docmix.mixture import load_model
 from docmix.selection import MODES
 from docmix.synth import generate_corpus, planted_mixture
@@ -218,6 +219,53 @@ class TestSweepSelect:
                         str(tmp_path / "s.csv"), "--kmax", "2",
                         "--epsilon", "1.5"])
         assert code == 1
+
+    def test_epsilon_float_reaches_the_model(self, planted_setup, tmp_path):
+        _, corpus_path = planted_setup
+        code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
+                        "--ladder", "2", "--starts", "3", "--epsilon", "0.001",
+                        "--fits-dir", str(tmp_path / "fits")])
+        assert code == 0
+        model_path = next((tmp_path / "fits").glob("*.model.json"))
+        assert json.loads(model_path.read_text())["epsilon_n"] == 0.001
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--epsilon", "abc", "argument --epsilon: expected '1/n' or a float in (0, 1), "
+                             "got 'abc'"),
+        ("--ladder", "a,b", "argument --ladder: expected comma-separated integers, "
+                            "got 'a,b'"),
+        ("--ladder", ",", "argument --ladder: ladder is empty"),
+    ], ids=["epsilon-text", "ladder-text", "ladder-empty"])
+    def test_bad_flag_text_is_a_usage_error(self, planted_setup, tmp_path, capsys,
+                                            flag, value, message):
+        _, corpus_path = planted_setup
+        code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
+                        "--kmax", "2", flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(f"sweep: error: {message}\n")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_failed_rung_is_reported_and_skipped(self, planted_setup, tmp_path, capsys,
+                                                 failing_rung_2):
+        _, corpus_path = planted_setup
+        code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
+                        "--ladder", "1,2,3", "--starts", "3",
+                        "--fits-dir", str(tmp_path / "fits")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "rung 2 failed: synthetic collapse\n"
+        assert captured.out.endswith("(1 failures)\n")
+        failing_rung_2.undo()
+        # rung seeds depend only on (seed, K), so the other rungs match a 1,3 sweep
+        assert cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "r.csv"),
+                        "--ladder", "1,3", "--starts", "3",
+                        "--fits-dir", str(tmp_path / "ref")]) == 0
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+        names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert sorted(p.name for p in (tmp_path / "fits").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "fits" / name).read_bytes() \
+                == (tmp_path / "ref" / name).read_bytes()
 
     def test_epsilon_default_token(self, planted_setup, tmp_path):
         _, corpus_path = planted_setup
@@ -546,6 +594,20 @@ class TestReport:
         assert code == 2
 
 
+@pytest.fixture
+def failing_rung_2(monkeypatch):
+    """robust_em, as run_sweep calls it, raising DegenerateFitError at rung 2."""
+    fit = selection.robust_em
+
+    def flaky(corpus, k_max, *args, **kwargs):
+        if k_max == 2:
+            raise DegenerateFitError("synthetic collapse")
+        return fit(corpus, k_max, *args, **kwargs)
+
+    monkeypatch.setattr(selection, "robust_em", flaky)
+    return monkeypatch
+
+
 def synth_config(tmp_path, **overrides):
     config = {
         "schema_version": 1,
@@ -644,6 +706,43 @@ class TestSynth:
         assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: config field 'ladder'")
         assert not (tmp_path / "o" / "summary.csv").exists()
+
+    def test_failed_rung_is_reported(self, tmp_path, capsys, failing_rung_2):
+        path = synth_config(tmp_path, seeds=[0], mode="bic")
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == "seed 0: rung 2 failed: synthetic collapse\n"
+        assert (tmp_path / "o" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("field,literal", [
+        ("length_range", "[50, 20]"), ("length_range", "[0, 0]"), ("k_true", "0"),
+        ("num_words", "0"), ("concentration", "0"), ("concentration", "-1"),
+        ("concentration", "1e400"), ("min_pairwise_kl", "1e400"),
+    ], ids=["length-reversed", "length-zero", "k-true-zero", "num-words-zero",
+            "concentration-zero", "concentration-negative", "concentration-overflow",
+            "kl-overflow-literal"])
+    def test_value_out_of_range_is_config_error(self, tmp_path, capsys, field, literal):
+        # 1e400 is a valid JSON number that parses to inf
+        path = synth_config(tmp_path, **{field: "VALUE"})
+        path.write_text(path.read_text().replace('"VALUE"', literal))
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config field '{field}'")
+        assert not (tmp_path / "o").exists()
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "synth.json"
+        path.write_text("[]")
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field '(file)': top level must be an object\n")
+
+    def test_ladder_or_k_max_required(self, tmp_path, capsys):
+        path = synth_config(tmp_path)
+        config = json.loads(path.read_text())
+        del config["ladder"]
+        path.write_text(json.dumps(config))
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field 'ladder': missing (provide ladder or k_max)\n")
 
     def test_bad_schema_version(self, tmp_path):
         path = synth_config(tmp_path, schema_version=2)

@@ -1,6 +1,8 @@
 import heapq
+import importlib.util
 import json
 import math
+import os
 import threading
 from dataclasses import replace
 
@@ -395,6 +397,7 @@ class TestRobustEm:
         config = EmConfig(rng_seed=1, init_noise_scale=4.0, n_starts=5)
         fit = robust_em(planted.corpus, 6, config)
         assert fit.k_final == 5
+        assert fit.k_initial == 6
         assert fit.annihilation_events == [(11, [5])]
         assert fit.converged
         fit.model.validate()
@@ -759,3 +762,20 @@ class TestConfig:
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ConfigError):
             EmConfig(**{field: value})
+
+
+def test_annihilation_rules_script_table(capsys):
+    # scripts/annihilation_rules.py reads fit.k_final, fit.model.pi and
+    # evaluate_run(...).agreement; these are its rows for seeds 0 and 1
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "annihilation_rules.py")
+    spec = importlib.util.spec_from_file_location("annihilation_rules", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(["--seeds", "0", "2", "--kmax", "4"])
+    assert capsys.readouterr().out.splitlines()[2:6] == [
+        "| 0 | threshold | 4 | 0.960 | 70.0, 62.2, 55.0, 12.8 |",
+        "| 0 | mml | 3 | 1.000 | 76.4, 70.6, 53.1 |",
+        "| 1 | threshold | 4 | 0.970 | 72.0, 68.0, 54.2, 5.8 |",
+        "| 1 | mml | 3 | 1.000 | 72.9, 68.2, 58.9 |",
+    ]

@@ -182,13 +182,13 @@ class TestSelectModel:
     def test_argmin(self):
         sweep = toy_sweep()
         # contrast falls 50 per K; penalty rises 60 per K past K=3
-        penalty = {1: 0.0, 2: 0.0, 3: 0.0, 4: 110.0, 5: 220.0}
+        penalty = [0.0, 0.0, 0.0, 110.0, 220.0]
         report = select_model(sweep, penalty)
         assert report.k_hat == 3
 
     def test_tie_goes_to_smaller_k(self):
         sweep = toy_sweep()
-        penalty = {k: 50.0 * k for k in range(1, 6)}
+        penalty = [50.0 * k for k in range(1, 6)]
         report = select_model(sweep, penalty)
         assert report.k_hat == 1
         values = [v for _, v in report.criteria]
@@ -196,8 +196,8 @@ class TestSelectModel:
 
     def test_constant_shift_invariance(self):
         sweep = toy_sweep()
-        penalty = {k: 7.0 * k * k for k in range(1, 6)}
-        shifted = {k: v + 1234.5 for k, v in penalty.items()}
+        penalty = [7.0 * k * k for k in range(1, 6)]
+        shifted = [v + 1234.5 for v in penalty]
         assert select_model(sweep, penalty).k_hat \
             == select_model(sweep, shifted).k_hat
 
@@ -205,11 +205,6 @@ class TestSelectModel:
         sweep = toy_sweep()
         report = select_model(sweep, [0.0, 0.0, 0.0, 110.0, 220.0])
         assert report.k_hat == 3
-
-    def test_missing_k_rejected(self):
-        sweep = toy_sweep()
-        with pytest.raises(ValueError):
-            select_model(sweep, {1: 0.0, 2: 0.0})
 
     def test_misaligned_sequence_rejected(self):
         sweep = toy_sweep()
@@ -221,7 +216,7 @@ class TestSelectModel:
         with pytest.raises(ValueError, match="criterion for K=2 is not finite"):
             select_model(sweep, [0.0, math.nan, 0.0, math.inf, 0.0])
         with pytest.raises(ValueError, match="criterion for K=4 is not finite"):
-            select_model(sweep, {1: 0.0, 2: 0.0, 3: 0.0, 4: math.inf, 5: 0.0})
+            select_model(sweep, [0.0, 0.0, 0.0, math.inf, 0.0])
 
 
 class TestSelectFromSweep:
