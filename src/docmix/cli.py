@@ -262,15 +262,15 @@ def load_synth_config(path) -> dict:
 def cmd_synth(args) -> None:
     """Per seed: generate, sweep once, then select and evaluate in each listed mode."""
     config = load_synth_config(args.config)
-    os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for seed in config["seeds"]:
-        mixture = planted_mixture(
-            config["k_true"], config["num_words"],
-            seed=np.random.SeedSequence((seed, 1)),
-            min_pairwise_kl=config["min_pairwise_kl"],
-            concentration=config["concentration"],
-        )
+        try:
+            mixture = planted_mixture(config["k_true"], config["num_words"],
+                                      seed=np.random.SeedSequence((seed, 1)),
+                                      min_pairwise_kl=config["min_pairwise_kl"],
+                                      concentration=config["concentration"])
+        except ValueError as exc:  # the config checks leave only the separation to fail
+            raise ConfigError(f"seed {seed}: {exc}", field="min_pairwise_kl") from exc
         planted = generate_corpus(mixture, config["num_docs"],
                                   config["length_range"],
                                   seed=np.random.SeedSequence((seed, 2)))
@@ -287,6 +287,7 @@ def cmd_synth(args) -> None:
             evaluation = evaluate_run(planted, chosen.fit)
             rows.append([seed, mode, report.k_hat, repr(float(evaluation.risk)),
                          repr(float(evaluation.agreement))])
+    os.makedirs(args.out_dir, exist_ok=True)
     summary_path = os.path.join(args.out_dir, "summary.csv")
     _write_csv(summary_path, ["seed", "mode", "K_hat", "risk", "agreement"], rows)
     print(f"ran {len(config['seeds'])} seeds; summary in {summary_path}")

@@ -1,12 +1,13 @@
 """Bag-of-words corpora of variable-length categorical observations.
 
 A corpus holds L documents over a shared vocabulary of B words as one
-L x B count matrix in CSR form: row l lists the words of document l and
-their positive counts. Its length n_l is the row sum and the corpus total
-is n = sum_l n_l. Documents may have very different lengths, which is the
-point: every operation downstream weights documents by n_l where it
-matters. The matrix is validated once, when the corpus is built, and every
-computation reads it directly.
+L x B count matrix in CSR form, three numpy arrays: row l lists the words
+of document l and their positive counts. Its length n_l is the row sum and
+the corpus total is n = sum_l n_l. Documents may have very different
+lengths, which is the point: every operation downstream weights documents
+by n_l where it matters. The matrix is validated once, when the corpus is
+built. Only the sparse products of EM need scipy: ``Corpus.csr()`` builds
+its matrix on first use, so ingesting or reading a corpus never imports it.
 
 On disk the exchange format is the UCI bag-of-words pair: a ``docword``
 file with three integer header lines (D, W, NNZ) followed by NNZ
@@ -26,10 +27,9 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import IO, Callable, Iterable, TypeVar
+from typing import IO, Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EmptyVocabularyError, FormatError, ParseError
 
@@ -101,28 +101,34 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.words)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     def __getitem__(self, index: int) -> str:
         return self.words[index]
+
+
+class CountMatrix(NamedTuple):
+    """An L x B count matrix in CSR form: row l's word indices are
+    ``indices[indptr[l]:indptr[l + 1]]``, its counts that slice of ``data``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
 
 
 @dataclass(eq=False)
 class Corpus:
     """Immutable-by-convention collection of sparse count vectors.
 
-    ``counts`` is the L x B document-by-word matrix in canonical CSR form:
-    float64 whole-number counts >= 1, int32 column indices sorted and
+    ``counts`` is the L x B document-by-word ``CountMatrix`` in canonical
+    form: float64 whole-number counts >= 1, int32 column indices sorted and
     unique within each row, and no empty row. Construction validates it
     (sorting rows that arrive unsorted) and derives ``doc_lengths`` and
-    ``total_tokens`` from it. ``dropped_doc_ids`` records documents removed
-    by pruning so that reports can state coverage; they also keep the
-    pruning denominator stable, which makes pruning idempotent.
+    ``total_tokens``. ``dropped_doc_ids`` records documents removed by
+    pruning so that reports can state coverage; they also keep the pruning
+    denominator stable, which makes pruning idempotent.
     """
 
     vocab: Vocabulary
-    counts: sparse.csr_matrix
+    counts: CountMatrix
     doc_ids: list[int]
     doc_years: dict[int, int] | None = None
     dropped_doc_ids: list[int] = field(default_factory=list)
@@ -130,70 +136,55 @@ class Corpus:
     total_tokens: int = field(init=False)
 
     def __post_init__(self):
-        counts = sparse.csr_matrix(self.counts, dtype=np.float64)
+        data, indices, indptr = map(np.asarray, self.counts)
         num_docs, num_words = len(self.doc_ids), self.vocab.size
-        if counts.shape != (num_docs, num_words):
-            raise ValueError(
-                f"count matrix is {counts.shape[0]} x {counts.shape[1]} but the corpus "
-                f"has {num_docs} doc_ids and {num_words} words"
-            )
-        if len(set(self.doc_ids)) != num_docs:
-            raise ValueError("doc_ids must be unique")
-        indptr = counts.indptr
+        if len(indptr) != num_docs + 1 or indptr[0] != 0 \
+                or not len(data) == len(indices) == indptr[-1]:
+            raise ValueError(f"counts is not in CSR form with {num_docs} rows, one per doc_id")
+        if len({*self.doc_ids, *self.dropped_doc_ids}) != num_docs + len(self.dropped_doc_ids):
+            raise ValueError("doc_ids and dropped_doc_ids must be unique and disjoint")
 
         def doc_at(position) -> int:
             return self.doc_ids[np.searchsorted(indptr, position, side="right") - 1]
 
-        empty = np.flatnonzero(indptr[1:] == indptr[:-1])
+        empty = np.flatnonzero(indptr[1:] <= indptr[:-1])
         if empty.size:
             raise ValueError(f"document {self.doc_ids[empty[0]]} is empty")
-        indices, data = counts.indices, counts.data
         bad = np.flatnonzero((indices < 0) | (indices >= num_words))
         if bad.size:
             raise IndexError(f"document {doc_at(bad[0])}: word index {indices[bad[0]]} "
                              f"out of range 0..{num_words - 1}")
+        data = data.astype(np.float64, copy=False)
         bad = np.flatnonzero(~(np.isfinite(data) & (data >= 1) & (data == np.floor(data))))
         if bad.size:
             raise ValueError(f"document {doc_at(bad[0])}: count {data[bad[0]]:g} "
                              "is not a positive whole number")
-        if not counts.has_sorted_indices:
-            counts = counts.sorted_indices()
-        # a repeated index is a zero step inside a row; steps across rows are exempt
-        steps = np.diff(counts.indices)
-        steps[indptr[1:-1] - 1] = 1
+        index_type = np.int32 if max(len(indices), num_words) < 2**31 else np.int64
+        indices, indptr = (a.astype(index_type, copy=False) for a in (indices, indptr))
+        steps = np.diff(indices)
+        steps[indptr[1:-1] - 1] = 1  # a step across rows is neither unsorted nor repeated
+        if (steps < 0).any():  # sort each row by word index, then validate again
+            order = np.lexsort((indices, np.repeat(np.arange(num_docs), np.diff(indptr))))
+            self.counts = CountMatrix(data[order], indices[order], indptr)
+            return self.__post_init__()
         repeated = np.flatnonzero(steps == 0)
         if repeated.size:
             raise ValueError(f"document {doc_at(repeated[0])}: word index "
-                             f"{counts.indices[repeated[0]]} is repeated")
-        self.counts = counts
-        self.doc_lengths = np.asarray(counts.sum(axis=1), dtype=np.int64).ravel().tolist()
+                             f"{indices[repeated[0]]} is repeated")
+        self.counts = CountMatrix(data, indices, indptr)
+        self.doc_lengths = np.add.reduceat(data, indptr[:-1]).astype(np.int64).tolist()
         self.total_tokens = sum(self.doc_lengths)
+        self._csr = None
 
     @classmethod
-    def from_docs(
-        cls,
-        vocab: Vocabulary,
-        docs: list[dict[int, int]],
-        doc_ids: list[int],
-        doc_years: dict[int, int] | None = None,
-        dropped_doc_ids: Iterable[int] = (),
-    ) -> "Corpus":
-        """Build from one {word index: count} map per document."""
+    def from_docs(cls, vocab: Vocabulary, docs: list[dict], doc_ids: list[int]) -> "Corpus":
+        """Build from one {word index: count} map per document, keys in any order."""
         indptr = np.cumsum([0] + [len(doc) for doc in docs])
         nnz = int(indptr[-1])
-        counts = sparse.csr_matrix(
-            (np.fromiter(chain.from_iterable(doc.values() for doc in docs), np.float64, nnz),
-             np.fromiter(chain.from_iterable(docs), np.int64, nnz),
-             indptr),
-            shape=(len(docs), vocab.size),
-        )
-        return cls(
-            vocab=vocab,
-            counts=counts,
-            doc_ids=list(doc_ids),
-            doc_years=dict(doc_years) if doc_years else None,
-            dropped_doc_ids=list(dropped_doc_ids),
-        )
+        return cls(vocab=vocab, doc_ids=list(doc_ids), counts=CountMatrix(
+            np.fromiter(chain.from_iterable(doc.values() for doc in docs), np.float64, nnz),
+            np.fromiter(chain.from_iterable(docs), np.int64, nnz),
+            indptr))
 
     @property
     def num_docs(self) -> int:
@@ -203,14 +194,16 @@ class Corpus:
     def num_words(self) -> int:
         return self.vocab.size
 
-    def csr(self) -> sparse.csr_matrix:
-        """The doc-by-word count matrix."""
-        return self.counts
+    def csr(self):
+        """``counts`` as a scipy ``csr_matrix`` sharing its arrays, built on first use."""
+        if self._csr is None:
+            from scipy import sparse  # the only scipy.sparse import: ingest and select skip it
+            self._csr = sparse.csr_matrix(self.counts, shape=(self.num_docs, self.num_words))
+        return self._csr
 
     def word_totals(self) -> np.ndarray:
         """Total count of every word across the corpus."""
-        return np.bincount(self.counts.indices, weights=self.counts.data,
-                           minlength=self.num_words)
+        return np.bincount(self.counts.indices, weights=self.counts.data, minlength=self.num_words)
 
 
 def parse_bag_of_words(docword_lines: Iterable[str], vocab_lines: Iterable[str]) -> Corpus:
@@ -271,9 +264,13 @@ def parse_bag_of_words(docword_lines: Iterable[str], vocab_lines: Iterable[str])
     doc, word, count = np.concatenate(chunks).T
     # rows are the documents that own triples; the header's D may be far larger
     doc_ids, doc_rows = np.unique(doc, return_inverse=True)
-    # tocsr sums repeated (doc, word) triples in int64; Corpus casts to float64
-    counts = sparse.coo_matrix((count, (doc_rows, word - 1)),
-                               shape=(doc_ids.size, num_words)).tocsr()
+    # one key per (row, word), in CSR order; repeated triples add their counts
+    # in int64, and Corpus casts the sums to float64
+    keys, slots = np.unique(doc_rows * num_words + (word - 1), return_inverse=True)
+    totals = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(totals, slots, count)
+    rows, words = np.divmod(keys, num_words)
+    counts = CountMatrix(totals, words, np.searchsorted(rows, np.arange(doc_ids.size + 1)))
     return Corpus(vocab=Vocabulary(tuple(tokens)), counts=counts, doc_ids=doc_ids.tolist())
 
 
@@ -322,13 +319,13 @@ def dump_bag_of_words(corpus: Corpus) -> tuple[str, str]:
     The declared D is the largest retained doc id, so reparsing the output
     yields a structurally identical corpus.
     """
-    matrix = corpus.csr()
+    data, indices, indptr = corpus.counts
     triples = map("{} {} {}".format,
-                  chain.from_iterable(map(repeat, corpus.doc_ids, np.diff(matrix.indptr).tolist())),
-                  (matrix.indices + 1).tolist(),
-                  matrix.data.astype(np.int64).tolist())
+                  chain.from_iterable(map(repeat, corpus.doc_ids, np.diff(indptr).tolist())),
+                  (indices + 1).tolist(),
+                  data.astype(np.int64).tolist())
     max_id = max(corpus.doc_ids) if corpus.doc_ids else 0
-    docword = "\n".join([str(max_id), str(corpus.num_words), str(matrix.nnz), *triples])
+    docword = "\n".join([str(max_id), str(corpus.num_words), str(len(data)), *triples])
     vocab = "\n".join(corpus.vocab.words)
     return docword + "\n", vocab + "\n"
 
@@ -348,9 +345,9 @@ def prune_vocabulary(corpus: Corpus, max_doc_fraction: float, top_b: int) -> Cor
     if top_b < 1:
         raise ValueError(f"top_b must be >= 1, got {top_b}")
 
-    matrix = corpus.csr()
+    data, indices, indptr = corpus.counts
     num_seen = corpus.num_docs + len(corpus.dropped_doc_ids)
-    doc_freq = np.bincount(matrix.indices, minlength=corpus.num_words)
+    doc_freq = np.bincount(indices, minlength=corpus.num_words)
     candidates = np.flatnonzero(doc_freq <= max_doc_fraction * num_seen)
     # a stable sort of the ascending candidates breaks ties by lower index
     heaviest = np.argsort(-corpus.word_totals()[candidates], kind="stable")
@@ -360,8 +357,12 @@ def prune_vocabulary(corpus: Corpus, max_doc_fraction: float, top_b: int) -> Cor
             f"no words left after removing those in more than {max_doc_fraction:.0%} of documents"
         )
 
-    reduced = matrix[:, kept]
-    nonempty = np.diff(reduced.indptr) > 0
+    column = np.full(corpus.num_words, -1, dtype=indices.dtype)
+    column[kept] = np.arange(kept.size)
+    column = column[indices]  # each entry's new word index, -1 for a pruned word
+    entries = np.flatnonzero(column >= 0)
+    bounds = np.searchsorted(entries, indptr)  # an emptied row ends where it starts
+    nonempty = np.diff(bounds) > 0
     new_ids = [doc_id for doc_id, keep in zip(corpus.doc_ids, nonempty) if keep]
     newly_dropped = [doc_id for doc_id, keep in zip(corpus.doc_ids, nonempty) if not keep]
     years = None
@@ -369,7 +370,7 @@ def prune_vocabulary(corpus: Corpus, max_doc_fraction: float, top_b: int) -> Cor
         years = {i: corpus.doc_years[i] for i in new_ids if i in corpus.doc_years} or None
     return Corpus(
         vocab=Vocabulary(tuple(corpus.vocab.words[b] for b in kept.tolist())),
-        counts=reduced[nonempty],
+        counts=CountMatrix(data[entries], column[entries], np.append(0, bounds[1:][nonempty])),
         doc_ids=new_ids,
         doc_years=years,
         dropped_doc_ids=list(corpus.dropped_doc_ids) + newly_dropped,
@@ -377,10 +378,8 @@ def prune_vocabulary(corpus: Corpus, max_doc_fraction: float, top_b: int) -> Cor
 
 
 def dumps_corpus(corpus: Corpus) -> str:
-    matrix = corpus.csr()
-    indices = matrix.indices.tolist()
-    counts = matrix.data.astype(np.int64).tolist()
-    bounds = matrix.indptr.tolist()
+    data, indices, indptr = corpus.counts
+    indices, counts, bounds = indices.tolist(), data.astype(np.int64).tolist(), indptr.tolist()
     return dumps_document("corpus", {
         "words": list(corpus.vocab.words),
         "doc_ids": corpus.doc_ids,
@@ -400,24 +399,23 @@ def _int_array(values, what: str) -> np.ndarray:
 
 
 def _corpus_from_payload(payload: dict) -> Corpus:
-    docs = payload["docs"]
+    docs, years = payload["docs"], payload["doc_years"]
+    if not all(type(payload[k]) is list for k in ("words", "docs", "doc_ids", "dropped_doc_ids")):
+        raise FormatError("words, docs, doc_ids and dropped_doc_ids must be lists")
     if not all(isinstance(doc, list) and len(doc) == 2 and len(doc[0]) == len(doc[1])
                for doc in docs):
         raise FormatError("every document must be an [indices, counts] pair of equal lengths")
-    vocab = Vocabulary(tuple(payload["words"]))
-    matrix = sparse.csr_matrix(
-        (_int_array(chain.from_iterable(doc[1] for doc in docs), "counts").astype(np.float64),
-         _int_array(chain.from_iterable(doc[0] for doc in docs), "word indices"),
-         np.cumsum([0] + [len(doc[0]) for doc in docs])),
-        shape=(len(docs), vocab.size),
-    )
-    years = payload["doc_years"]
+    if years is not None:
+        years = dict(_int_array(pair, "doc_years").tolist() for pair in payload["doc_years"])
+        if type(payload["doc_years"]) is not list or len(years) != len(payload["doc_years"]):
+            raise FormatError("doc_years must be a list of [doc id, year] pairs, one per doc id")
     return Corpus(
-        vocab=vocab,
-        counts=matrix,
+        vocab=Vocabulary(tuple(payload["words"])),
+        counts=CountMatrix(_int_array(chain.from_iterable(doc[1] for doc in docs), "counts"),
+                           _int_array(chain.from_iterable(doc[0] for doc in docs), "word indices"),
+                           np.cumsum([0] + [len(doc[0]) for doc in docs])),
         doc_ids=_int_array(payload["doc_ids"], "doc_ids").tolist(),
-        doc_years=None if years is None else (
-            dict(_int_array(pair, "doc_years").tolist() for pair in years) or None),
+        doc_years=years or None,
         dropped_doc_ids=_int_array(payload["dropped_doc_ids"], "dropped_doc_ids").tolist(),
     )
 

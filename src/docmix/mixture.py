@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Corpus, atomic_write_text, dumps_document, loads_document
 from .errors import FormatError
@@ -167,12 +166,12 @@ class MixtureModel:
                             epsilon=self.epsilon)
 
 
-def score_matrix(counts: sparse.csr_matrix, model: MixtureModel) -> np.ndarray:
-    """L x K matrix of a_k scores; column k never reads component j != k."""
+def score_matrix(counts, model: MixtureModel) -> np.ndarray:
+    """L x K a_k scores of ``counts = corpus.csr()``; column k never reads component j != k."""
     return _scores(counts, model.pi, model.log_f)
 
 
-def _scores(counts: sparse.csr_matrix, pi: np.ndarray, log_f: np.ndarray) -> np.ndarray:
+def _scores(counts, pi: np.ndarray, log_f: np.ndarray) -> np.ndarray:
     """Scores of any stack of components, weights ``pi`` and log densities
     ``log_f`` row for row; column j of the product reads only row j."""
     if counts.shape[1] != log_f.shape[1]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import CountMatrix, Corpus, Vocabulary
 from .em import FitResult
 from .errors import OracleInfeasibleError
 from .mixture import MixtureModel, kl_categorical, map_assign, weighted_kl_risk
@@ -101,7 +101,7 @@ def generate_corpus(mix: PlantedMixture, num_docs: int,
                     length_range: tuple[int, int], seed) -> PlantedCorpus:
     """Sample documents: component from the weights, length uniform in the
     inclusive range, then that many i.i.d. word draws from the component.
-    One multinomial call draws every row; ``Corpus`` builds the CSR."""
+    One multinomial call draws every row; its nonzeros are the CSR entries."""
     low, high = length_range
     if num_docs < 1:
         raise ValueError("need at least one document")
@@ -112,7 +112,9 @@ def generate_corpus(mix: PlantedMixture, num_docs: int,
     lengths = rng.integers(low, high + 1, size=num_docs)
     draws = rng.multinomial(lengths, mix.densities[labels])
     vocab = Vocabulary(tuple(f"w{b:04d}" for b in range(mix.num_words)))
-    corpus = Corpus(vocab=vocab, counts=draws, doc_ids=list(range(1, num_docs + 1)))
+    rows, words = np.nonzero(draws)
+    counts = CountMatrix(draws[rows, words], words, np.searchsorted(rows, np.arange(num_docs + 1)))
+    corpus = Corpus(vocab=vocab, counts=counts, doc_ids=list(range(1, num_docs + 1)))
     return PlantedCorpus(corpus=corpus, labels_true=labels, mixture=mix)
 
 
@@ -131,9 +133,9 @@ def brute_force_loglik(corpus: Corpus, model: MixtureModel) -> float:
             f"document of {max(corpus.doc_lengths)} tokens at floor exponent "
             f"{tau:.2f} exceeds the oracle's range"
         )
-    matrix = corpus.csr()
-    bounds = matrix.indptr.tolist()
-    words, counts = matrix.indices.tolist(), matrix.data.astype(np.int64).tolist()
+    data, indices, indptr = corpus.counts
+    bounds = indptr.tolist()
+    words, counts = indices.tolist(), data.astype(np.int64).tolist()
     with mpmath.workdps(ORACLE_DPS):
         weights = [mpmath.mpf(p) for p in model.pi.tolist()]
         densities = [

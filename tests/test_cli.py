@@ -52,6 +52,24 @@ def test_cli_starts_without_oracle_and_matching_imports():
     assert out.stdout.strip() == "[]"
 
 
+def test_only_sweep_imports_scipy(uci_files, fitted_setup, tmp_path):
+    # ingest and select read a corpus as plain arrays; the sparse products need scipy
+    docword, vocab = uci_files
+    corpus_path, sweep_path, _ = fitted_setup
+    steps = [["ingest", str(docword), str(vocab), "--out", str(tmp_path / "c.json")],
+             ["select", str(sweep_path), "--corpus", str(corpus_path), "--mode", "bic",
+              "--out", str(tmp_path / "s.json")],
+             ["sweep", str(tmp_path / "c.json"), "--ladder", "1", "--starts", "1",
+              "--out", str(tmp_path / "w.csv")]]
+    code = ("import json, sys, docmix.cli as cli; print([(cli.run(argv), 'scipy' in sys.modules)"
+            " for argv in json.loads(sys.argv[1])], file=sys.stderr)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(steps)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         check=True)
+    assert out.stderr == "[(0, False), (0, False), (0, True)]\n"
+
+
 class TestIngest:
     def test_end_to_end(self, uci_files, tmp_path, capsys):
         docword, vocab = uci_files
@@ -716,10 +734,10 @@ class TestSynth:
     @pytest.mark.parametrize("field,literal", [
         ("length_range", "[50, 20]"), ("length_range", "[0, 0]"), ("k_true", "0"),
         ("num_words", "0"), ("concentration", "0"), ("concentration", "-1"),
-        ("concentration", "1e400"), ("min_pairwise_kl", "1e400"),
+        ("concentration", "1e400"), ("min_pairwise_kl", "1e400"), ("min_pairwise_kl", "1e6"),
     ], ids=["length-reversed", "length-zero", "k-true-zero", "num-words-zero",
             "concentration-zero", "concentration-negative", "concentration-overflow",
-            "kl-overflow-literal"])
+            "kl-overflow-literal", "kl-unreachable"])
     def test_value_out_of_range_is_config_error(self, tmp_path, capsys, field, literal):
         # 1e400 is a valid JSON number that parses to inf
         path = synth_config(tmp_path, **{field: "VALUE"})

@@ -356,6 +356,14 @@ class TestPersistence:
         pytest.param(lambda blob: blob["docs"][0][1].__setitem__(0, 2.7), id="float-count"),
         pytest.param(lambda blob: blob["docs"][0][1].__setitem__(0, True), id="bool-count"),
         pytest.param(lambda blob: blob["words"].__setitem__(0, 7), id="non-string-token"),
+        # five letters for five words: the string would load as the vocabulary
+        pytest.param(lambda blob: blob.__setitem__("words", "abcde"), id="string-vocabulary"),
+        pytest.param(lambda blob: blob.__setitem__("doc_years", [[1, 1990], [1, 1991]]),
+                     id="repeated-year-doc-id"),
+        pytest.param(lambda blob: blob.__setitem__("dropped_doc_ids", [9, 9]),
+                     id="repeated-dropped-doc-id"),
+        pytest.param(lambda blob: blob.__setitem__("dropped_doc_ids", [1]),
+                     id="dropped-doc-id-retained"),
     ])
     def test_corrupt_container_rejected(self, tiny_corpus, corrupt):
         blob = json.loads(dumps_corpus(tiny_corpus))
@@ -417,6 +425,18 @@ class TestValidation:
     def test_duplicate_tokens(self):
         with pytest.raises(ValueError):
             Vocabulary(words=("a", "a"))
+
+    @pytest.mark.parametrize("source", ["from_docs", "json"])
+    def test_unsorted_row_is_sorted(self, source):
+        vocab = Vocabulary(words=("a", "b", "c"))
+        corpus = Corpus.from_docs(vocab, [{2: 3, 0: 1}], doc_ids=[1])
+        if source == "json":
+            blob = json.loads(dumps_corpus(corpus))
+            blob["docs"] = [[[2, 0], [3, 1]]]
+            corpus = loads_corpus(json.dumps(blob))
+        assert corpus.counts.indices.tolist() == [0, 2]
+        assert corpus.counts.data.tolist() == [1.0, 3.0]
+        assert (corpus.counts.indices.dtype, corpus.counts.data.dtype) == (np.int32, np.float64)
 
 
 def test_csr_matches_docs(tiny_corpus):

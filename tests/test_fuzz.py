@@ -7,6 +7,7 @@ with some nodes replaced by arbitrary JSON, and lines of text over each
 format's alphabet.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -32,11 +33,11 @@ from conftest import DOCWORD_TEXT, TINY_DOCS, VOCAB_TEXT, random_model
 READ_ERRORS = (DocmixError, ValueError, IndexError)
 EXAMPLES = settings(max_examples=100, deadline=None)
 
-CORPUS_TEXT = dumps_corpus(
+CORPUS_TEXT = dumps_corpus(dataclasses.replace(
     Corpus.from_docs(Vocabulary(("alpha", "beta", "gamma", "delta", "eps")), TINY_DOCS[:4],
-                     doc_ids=[2, 3, 5, 7], doc_years={2: 1990, 5: 1991},
-                     dropped_doc_ids=[4])
-)
+                     doc_ids=[2, 3, 5, 7]),
+    doc_years={2: 1990, 5: 1991}, dropped_doc_ids=[4],
+))
 MODEL_TEXT = dumps_model(random_model(2, 4, 100, seed=0))
 SWEEP_TEXT = sweep_to_csv(SweepResult(entries=(SweepEntry(1, 4, 120.5),
                                                SweepEntry(2, 9, 101.25))))

@@ -202,9 +202,11 @@ class TestSelectModel:
             == select_model(sweep, shifted).k_hat
 
     def test_sequence_penalty(self):
+        # test_argmin passes a list; any aligned sequence selects the same K
         sweep = toy_sweep()
-        report = select_model(sweep, [0.0, 0.0, 0.0, 110.0, 220.0])
-        assert report.k_hat == 3
+        penalty = (0.0, 0.0, 0.0, 110.0, 220.0)
+        assert select_model(sweep, penalty).k_hat == 3
+        assert select_model(sweep, np.array(penalty)).k_hat == 3
 
     def test_misaligned_sequence_rejected(self):
         sweep = toy_sweep()
