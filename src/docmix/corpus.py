@@ -171,8 +171,13 @@ class Corpus:
         if repeated.size:
             raise ValueError(f"document {doc_at(repeated[0])}: word index "
                              f"{indices[repeated[0]]} is repeated")
+        lengths = np.add.reduceat(data, indptr[:-1])
+        too_long = np.flatnonzero(lengths >= 2**53)  # below it, float64 sums are exact
+        if too_long.size:
+            raise ValueError(f"document {self.doc_ids[too_long[0]]}: length "
+                             f"{lengths[too_long[0]]:g} is not below 2**53")
         self.counts = CountMatrix(data, indices, indptr)
-        self.doc_lengths = np.add.reduceat(data, indptr[:-1]).astype(np.int64).tolist()
+        self.doc_lengths = lengths.astype(np.int64).tolist()
         self.total_tokens = sum(self.doc_lengths)
         self._csr = None
 

@@ -2,12 +2,11 @@
 
 The fitting entry point is robust_em, one rung in two phases: the short
 phase (_short_phase) runs several short EMs from random starts, and the
-long phase (_long_phase) continues the best with full EM while
-annihilating weak components. Short starts and long runs are the same
-loop, each iteration one M-step and one E-step, and the E-step scores
-the corpus once; a short start runs exactly short_iters iterations, a
-long run stops at the relative stall rel_tol or max_iters, unless the
-threshold rule removes components there.
+long phase (_long_phase) continues the best with full EM, deleting weak
+components between runs. Every run is one loop, _em_loop, each
+iteration one M-step and one E-step that scores the corpus once; a
+short start runs exactly short_iters iterations, a long run stops at
+the relative stall rel_tol or max_iters.
 
 The loop advances a block of S models of one size K in lockstep: their
 parameters are stacked into one (S*K) x B array, so an iteration is one
@@ -37,10 +36,9 @@ them by 2**64 first (_m_step_block).
 
 Two annihilation rules exist:
 
-- "threshold" (default): the long run deletes every component whose
-  weight is below 1/(annihilation_divisor * k_current) from its input
-  model and wherever it would stop, renormalizes, and runs on from the
-  survivors for max_iters more M-steps, until such a check removes none.
+- "threshold" (default): before and after each long run, _long_phase
+  deletes every component below its weight threshold and runs EM afresh
+  from the renormalized survivors, until a run stops with none to delete.
 - "mml": the minimum-message-length weight update of Figueiredo & Jain
   (2002, IEEE TPAMI 24(3), eq. 17) inside every M-step,
   pi_k proportional to max(0, n_k - N/2), where n_k is the component's
@@ -301,7 +299,7 @@ def _objective(loglik: float, pi: np.ndarray, weight_offset: float) -> float:
 
 def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
              seeds: list, max_iters: int, rel_tol: float,
-             weight_offset: float = 0.0, divisor: float = 0.0) -> list[FitResult]:
+             weight_offset: float = 0.0) -> list[FitResult]:
     """E and M steps for S models in lockstep; one FitResult per model, in
     input order.
 
@@ -312,18 +310,15 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
     begins with the one it runs alone; a model that stalls before the
     others keeps iterating until the block stops.
 
-    A positive weight_offset (MML) or divisor (threshold rule) takes a
-    block of one model. MML removes the components the M-step set to 0;
-    the threshold rule removes those below 1/(divisor * K) from the input
-    model and wherever the loop would stop, then runs on, max_iters
-    M-steps afresh, until such a check removes nothing. Each removal is
-    recorded as (index of the first value computed without them, indices).
+    A positive weight_offset (MML) takes a block of one model and removes
+    the components the M-step set to 0, each removal recorded as (index
+    of the first value computed without them, indices).
     """
     counts = corpus.csr()
     counts_t = counts.T  # once: each .T builds and checks a new csc_matrix
     num_models, k = pi.shape
-    if (weight_offset or divisor) and num_models > 1:
-        raise ValueError(f"weight_offset or divisor takes one model, got {num_models}")
+    if weight_offset and num_models > 1:
+        raise ValueError(f"weight_offset takes one model, got {num_models}")
     pi = pi.ravel()
     traces: list[list[float]] = [[] for _ in range(num_models)]
     events: list[tuple[int, list[int]]] = []
@@ -342,20 +337,12 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
             if iteration:
                 eta[s] = abs(new_objective - objective[s]) / max(abs(objective[s]), 1.0)
             objective[s] = new_objective
-        stop = iteration == max_iters or max(eta) < rel_tol
-        # the threshold rule checks the input model and each stop
-        live = None
-        if divisor and (stop or len(traces[0]) == 1):
-            live = pi >= 1.0 / (divisor * k)
-        if live is not None and not live.all():
-            iteration, eta = 0, [float("inf")]
-        elif stop:
+        if iteration == max_iters or max(eta) < rel_tol:
             break
-        else:
-            iteration += 1
-            pi, log_f = _m_step_block(counts_t, resp, k, epsilon, weight_offset)
-            live = pi != 0 if weight_offset else None
-        if live is not None and not live.all():
+        iteration += 1
+        pi, log_f = _m_step_block(counts_t, resp, k, epsilon, weight_offset)
+        if weight_offset and not pi.all():
+            live = pi != 0
             events.append((len(traces[0]), np.flatnonzero(~live).tolist()))
             pi, log_f = pi[live], log_f[live]
             pi /= pi.sum()
@@ -437,16 +424,10 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
     """Multi-start EM at k_max components with annihilation of weak ones.
 
     Runs config.n_starts short fits (seeds rng_seed + i) and continues
-    the best one with one long run of full EM. Under the default
-    "threshold" rule the best start has the highest log-likelihood, and
-    all components whose weight sits below 1/(annihilation_divisor *
-    k_current) are removed in one sweep from the best start and wherever
-    the long run would stop; the fit ends at a stop with none to remove.
-    Under the "mml" rule every M-step, short starts included, uses the MML
-    weight update and drops the components it zeroes; the best start has
-    the shortest message length.
-    Each annihilation_events entry is (trace index of the first value
-    computed after the removal, removed component indices at that moment).
+    the best, by log-likelihood or under "mml" by message length, with
+    _long_phase. Each annihilation_events entry is (trace index of the
+    first value computed after the removal, removed component indices at
+    that moment).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -454,10 +435,6 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
         raise ValueError(f"threads must be >= 1, got {threads}")
     if epsilon is None:
         epsilon = default_floor(corpus.total_tokens)
-    if corpus.num_words * epsilon > 1.0:
-        raise InfeasibleFloorError(
-            f"floor {epsilon} infeasible for {corpus.num_words} categories"
-        )
 
     def score(fit: FitResult) -> float:
         if config.annihilation == "mml":
@@ -509,19 +486,35 @@ def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
 
 
 def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult:
-    """Continue ``start`` with one long run of full EM that annihilates weak
-    components; its trace and events come first in the fit's."""
-    divisor = config.annihilation_divisor if config.annihilation == "threshold" else 0.0
-    model = start.model
-    [fit] = _em_loop(corpus, model.pi[None], model.log_f, model.epsilon, [config.rng_seed],
-                     config.max_iters, config.rel_tol,
-                     config.weight_offset(corpus.num_words), divisor)
-    # the run's first value rescores start.model, repeating the last value
-    # of start's trace; it is dropped, and the run's event indices shift
-    offset = len(start.loglik_trace) - 1
-    events = [(offset + i, gone) for i, gone in fit.annihilation_events]
-    return replace(fit, loglik_trace=start.loglik_trace + fit.loglik_trace[1:],
-                   annihilation_events=start.annihilation_events + events)
+    """Continue ``start`` with full EM, deleting weak components between
+    runs, as Figueiredo & Jain (2002, §V) do.
+
+    Each pass tests start.model, then the model the last run stopped at,
+    against 1/(annihilation_divisor * K), or 0 under MML. Once a test
+    removes nothing the last run is the fit. Otherwise the weak components
+    go, the survivors are renormalized, and _em_loop runs afresh from them.
+    The fit's trace and events are start's, then each run's.
+    """
+    divisor = config.annihilation_divisor if config.annihilation == "threshold" else math.inf
+    trace, events = list(start.loglik_trace), list(start.annihilation_events)
+    pi, log_f, epsilon = start.model.pi, start.model.log_f, start.model.epsilon
+    skip = 1  # a run from start.model first rescores it, repeating trace[-1]
+    fit = None
+    while True:
+        weak = pi < 1.0 / (divisor * pi.size)
+        if weak.any():
+            events.append((len(trace), np.flatnonzero(weak).tolist()))
+            pi, log_f, skip = pi[~weak], log_f[~weak], 0
+            pi /= pi.sum()
+            _validate_block(pi[None], log_f, epsilon)
+        elif fit is not None:
+            return replace(fit, loglik_trace=trace, annihilation_events=events)
+        [fit] = _em_loop(corpus, pi[None], log_f, epsilon, [config.rng_seed],
+                         config.max_iters, config.rel_tol,
+                         config.weight_offset(corpus.num_words))
+        events += [(len(trace) + i - skip, gone) for i, gone in fit.annihilation_events]
+        trace += fit.loglik_trace[skip:]
+        pi, log_f = fit.model.pi, fit.model.log_f
 
 
 def _config_record(config: EmConfig) -> dict:

@@ -319,8 +319,12 @@ class TestSweepSelect:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ["K,D_K,min_contrast\n1,2\r0,3.5\n",
-                                      "K,D_K,min_contrast\n" + "9" * 200_000 + ",2,3.5\n"],
-                             ids=["bare-cr", "huge-field"])
+                                      "K,D_K,min_contrast\n" + "9" * 200_000 + ",2,3.5\n",
+                                      "K,D_K,min_contrast\n0,20,1.0\n",
+                                      "K,D_K,min_contrast\n1,20,nan\n",
+                                      "K,D_K,min_contrast\n1,20,inf\n"],
+                             ids=["bare-cr", "huge-field", "zero-k", "nan-contrast",
+                                  "inf-contrast"])
     def test_malformed_sweep_csv_is_data_error(self, tmp_path, capsys, text):
         sweep_path = tmp_path / "sweep.csv"
         sweep_path.write_bytes(text.encode())
@@ -360,6 +364,14 @@ class TestSweepSelect:
                         "theoretical", "--tokens", "5000", "--docs", "100",
                         "--multiplier", "nan"]) == 2
         assert capsys.readouterr().err == "error: criterion for K=1 is not finite: nan\n"
+        assert not out.exists()
+
+    def test_dimension_not_multiple_of_k_is_data_error(self, tmp_path, capsys):
+        sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        sweep_path.write_text("K,D_K,min_contrast\n1,20,1000\n2,41,900\n")
+        assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode",
+                        "theoretical", "--tokens", "5000", "--docs", "100"]) == 2
+        assert capsys.readouterr().err == "error: dimension 41 is not a multiple of K=2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [

@@ -364,6 +364,11 @@ class TestPersistence:
                      id="repeated-dropped-doc-id"),
         pytest.param(lambda blob: blob.__setitem__("dropped_doc_ids", [1]),
                      id="dropped-doc-id-retained"),
+        # document lengths of 2**63 and 2**60: float64 sums are exact only below 2**53
+        pytest.param(lambda blob: blob["docs"].__setitem__(0, [[0, 1], [2**62, 2**62]]),
+                     id="length-wraps-int64"),
+        pytest.param(lambda blob: blob["docs"].__setitem__(0, [[0], [2**60]]),
+                     id="length-past-2-53"),
     ])
     def test_corrupt_container_rejected(self, tiny_corpus, corrupt):
         blob = json.loads(dumps_corpus(tiny_corpus))

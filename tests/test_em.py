@@ -363,10 +363,11 @@ class TestThresholdRemoval:
     def run(self, pi):
         corpus = random_corpus(20, 12, 30, seed=4)
         k = len(pi)
-        log_f = np.log(np.full((k, 12), 1 / 12))
-        [fit] = em._em_loop(corpus, np.asarray([pi]), log_f, 1e-3, [0], 5, 1e-6,
-                            divisor=100.0)
-        return fit
+        model = mixture.MixtureModel(pi=np.asarray(pi), log_f=np.log(np.full((k, 12), 1 / 12)),
+                                     epsilon=1e-3)
+        _, loglik = e_step(corpus, model)
+        start = em.FitResult(model, [loglik], [], 0, False, math.inf)
+        return em._long_phase(corpus, start, EmConfig(max_iters=5, annihilation_divisor=100.0))
 
     def test_removes_all_below_in_one_sweep(self):
         fit = self.run([0.5, 0.4985, 0.0005, 0.001])
@@ -413,6 +414,28 @@ class TestRobustEm:
                           short_iters=7)
         fit = robust_em(planted.corpus, 6, config)
         assert fit.annihilation_events == [(8, [4])]
+
+    def test_long_phase_never_scores_a_pruned_winner(self, monkeypatch):
+        # the winner holds a weak component, so the long phase prunes it
+        # before its first E-step: the 6-component winner is never rescored
+        mix = dm.planted_mixture(2, 12, seed=np.random.SeedSequence((1, 21)),
+                                 min_pairwise_kl=1.0)
+        planted = dm.generate_corpus(mix, 12, (20, 60),
+                                     seed=np.random.SeedSequence((1, 22)))
+        config = EmConfig(rng_seed=1, init_noise_scale=4.0, n_starts=5,
+                          short_iters=7)
+        widths = []
+        block_e_step = em._e_step_block
+
+        def recording_e_step(counts, pi, log_f, k):
+            widths.append(pi.size)
+            return block_e_step(counts, pi, log_f, k)
+
+        monkeypatch.setattr(em, "_e_step_block", recording_e_step)
+        fit = robust_em(planted.corpus, 6, config)
+        # one block of 5 starts x 6 components, short_iters + 1 E-steps
+        assert widths[:8] == [30] * 8
+        assert widths[8:] == [5] * (len(fit.loglik_trace) - 8)
 
     @staticmethod
     def removal_after_a_run(**overrides):
@@ -499,6 +522,7 @@ def recorded_fit(monkeypatch, corpus, k_max, config):
     monkeypatch.setattr(em, "_e_step_block", recording_e_step)
     fit = robust_em(corpus, k_max, config)
     head = config.short_iters + 1
+    assert calls[head][0] == calls[head - 1][0]
     calls = calls[:head] + calls[head + 1:]
     assert fit.loglik_trace == [loglik for loglik, _ in calls]
     return fit, [pi for _, pi in calls]
@@ -741,8 +765,6 @@ class TestBlockStop:
         pi, log_f = em._random_init_block(corpus, 3, [40, 42], eps, 1.0)
         with pytest.raises(ValueError, match="one model"):
             em._em_loop(corpus, pi, log_f, eps, [40, 42], 10, 0.0, 11.5)
-        with pytest.raises(ValueError, match="one model"):
-            em._em_loop(corpus, pi, log_f, eps, [40, 42], 10, 1e-6, divisor=100.0)
 
 
 class TestConfig:
