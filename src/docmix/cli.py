@@ -3,7 +3,8 @@
 Every command is deterministic given its inputs and flags. Exit codes:
 0 success, 1 usage, 2 data error, 3 numerical failure. All files are
 written atomically (temp file + rename). Each subcommand is one
-``cmd_<name>(args)``, looked up when ``build_parser`` runs.
+``cmd_<name>(args)``, looked up when ``build_parser`` runs. The density
+floor is never a flag or config field: every fit uses 1/n for n tokens.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ from .selection import (
 from .synth import evaluate_run, generate_corpus, planted_mixture
 
 SYNTH_SCHEMA_VERSION = 1
+SYNTH_FIELDS = ("schema_version", "k_true", "num_words", "num_docs", "seeds", "min_pairwise_kl",
+                "concentration", "length_range", "ladder", "k_max", "em", "mode")
 
 
 def cmd_ingest(args) -> None:
@@ -76,8 +79,7 @@ def cmd_sweep(args) -> None:
     k_top = args.kmax if args.ladder is None else max(args.ladder)
     if k_top > corpus.num_docs:
         raise ValueError(f"rung K={k_top} exceeds num_docs = {corpus.num_docs}")
-    sweep, failures = run_sweep(corpus, ladder, config,
-                                epsilon=args.epsilon, threads=args.threads)
+    sweep, failures = run_sweep(corpus, ladder, config, threads=args.threads)
     save_sweep(sweep, args.out)
     if args.fits_dir is not None:
         os.makedirs(args.fits_dir, exist_ok=True)
@@ -193,6 +195,8 @@ def load_synth_config(path) -> dict:
         raise ConfigError("top level must be an object", field="(file)")
     if config.get("schema_version") != SYNTH_SCHEMA_VERSION:
         raise ConfigError(f"must be {SYNTH_SCHEMA_VERSION}", field="schema_version")
+    if unknown := [key for key in config if key not in SYNTH_FIELDS]:
+        raise ConfigError("unknown field", field=unknown[0])
     out = {
         "k_true": _require(config, "k_true", int),
         "num_words": _require(config, "num_words", int),
@@ -200,7 +204,6 @@ def load_synth_config(path) -> dict:
         "seeds": _require(config, "seeds", list),
         "min_pairwise_kl": _optional(config, "min_pairwise_kl", float, 0.0),
         "concentration": _optional(config, "concentration", float, 1.0),
-        "epsilon": None,
     }
     for key in ("k_true", "num_words"):
         if out[key] < 1:
@@ -209,10 +212,6 @@ def load_synth_config(path) -> dict:
         raise ConfigError("must be finite and > 0", field="concentration")
     if not math.isfinite(out["min_pairwise_kl"]):
         raise ConfigError("must be finite", field="min_pairwise_kl")
-    if config.get("epsilon") is not None:
-        out["epsilon"] = _require(config, "epsilon", float)
-        if not 0 < out["epsilon"] < 1:
-            raise ConfigError("must be null or in (0, 1)", field="epsilon")
     length_range = _require(config, "length_range", list)
     if (len(length_range) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in length_range)
@@ -222,6 +221,8 @@ def load_synth_config(path) -> dict:
     out["length_range"] = (length_range[0], length_range[1])
     if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in out["seeds"]):
         raise ConfigError("expected a list of integers >= 0", field="seeds")
+    if "ladder" in config and "k_max" in config:
+        raise ConfigError("give ladder or k_max, not both", field="k_max")
     if "ladder" in config:
         ladder = config["ladder"]
         if (not isinstance(ladder, list) or not ladder
@@ -276,7 +277,7 @@ def cmd_synth(args) -> None:
                                   seed=np.random.SeedSequence((seed, 2)))
         em_config = replace(config["em"], rng_seed=derive_seed(seed, 3))
         sweep, failures = run_sweep(planted.corpus, config["ladder"], em_config,
-                                    epsilon=config["epsilon"], threads=args.threads)
+                                    threads=args.threads)
         for k_max, message in failures:
             print(f"seed {seed}: rung {k_max} failed: {message}", file=sys.stderr)
         for mode in config["modes"]:
@@ -299,20 +300,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _epsilon_flag(value: str):
-    if value == "1/n":
-        return None
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected '1/n' or a float in (0, 1), got {value!r}"
-        ) from None
-    if not 0 < parsed < 1:
-        raise argparse.ArgumentTypeError(f"floor must be in (0, 1), got {parsed}")
-    return parsed
 
 
 def _positive_int(value: str) -> int:
@@ -347,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     threads_help = ("worker threads for each rung's short starts, which run in "
                     "lockstep groups sized by memory; results do not depend on it "
-                    "(default 1)")
+                    "(default %(default)s)")
 
     p = sub.add_parser("ingest", help="parse and prune a bag-of-words corpus")
     p.add_argument("docword", help="docword file: D, W, NNZ headers then triples")
@@ -368,22 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit comma-separated ladder (overrides --kmax)")
     p.add_argument("--fits-dir", default=None,
                    help="also save per-K model and run-log files here")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=EmConfig.rng_seed,
+                   help="base RNG seed (default %(default)s)")
     p.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
-    p.add_argument("--starts", type=_positive_int, default=15,
-                   help="number of short-EM starts (default 15)")
-    p.add_argument("--short-iters", type=_positive_int, default=10,
-                   help="iterations per short run (default 10)")
-    p.add_argument("--max-iters", type=_positive_int, default=500,
+    p.add_argument("--starts", type=_positive_int, default=EmConfig.n_starts,
+                   help="number of short-EM starts (default %(default)s)")
+    p.add_argument("--short-iters", type=_positive_int, default=EmConfig.short_iters,
+                   help="iterations per short run (default %(default)s)")
+    p.add_argument("--max-iters", type=_positive_int, default=EmConfig.max_iters,
                    help="cap on full-EM iterations after the long run's start and "
                         "after each threshold removal, which it makes there and "
-                        "wherever it stops (default 500)")
-    p.add_argument("--rel-tol", type=float, default=1e-6,
-                   help="relative loglik stall tolerance (default 1e-6)")
-    p.add_argument("--noise-scale", type=float, default=1.0,
-                   help="lognormal sigma of the random-start densities")
-    p.add_argument("--epsilon", type=_epsilon_flag, default=None,
-                   help="density floor: '1/n' (default) or a float in (0,1)")
+                        "wherever it stops (default %(default)s)")
+    p.add_argument("--rel-tol", type=float, default=EmConfig.rel_tol,
+                   help="relative loglik stall tolerance (default %(default)s)")
+    p.add_argument("--noise-scale", type=float, default=EmConfig.init_noise_scale,
+                   help="lognormal sigma of random-start densities (default %(default)s)")
     p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("select", help="pick the component count from a sweep CSV")

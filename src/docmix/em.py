@@ -420,21 +420,20 @@ _BLOCK_BYTES = 2 << 20
 
 
 def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
-              epsilon: float | None = None, threads: int = 1) -> FitResult:
+              threads: int = 1) -> FitResult:
     """Multi-start EM at k_max components with annihilation of weak ones.
 
-    Runs config.n_starts short fits (seeds rng_seed + i) and continues
-    the best, by log-likelihood or under "mml" by message length, with
-    _long_phase. Each annihilation_events entry is (trace index of the
-    first value computed after the removal, removed component indices at
-    that moment).
+    Runs config.n_starts short fits (seeds rng_seed + i) and continues the best,
+    by log-likelihood or under "mml" by message length, with _long_phase. Every
+    fit uses the floor 1/n for n tokens, the one selection.penalty_rate assumes.
+    Each annihilation_events entry is (trace index of the first value computed
+    after the removal, removed component indices at that moment).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if epsilon is None:
-        epsilon = default_floor(corpus.total_tokens)
+    epsilon = default_floor(corpus.total_tokens)
 
     def score(fit: FitResult) -> float:
         if config.annihilation == "mml":

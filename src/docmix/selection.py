@@ -293,14 +293,14 @@ def derive_seed(base_seed: int, k_max: int) -> int:
     return int(np.random.SeedSequence((base_seed, k_max)).generate_state(1)[0])
 
 
-def run_sweep(corpus: Corpus, ladder, config: EmConfig,
-              epsilon: float | None = None, threads: int = 1,
+def run_sweep(corpus: Corpus, ladder, config: EmConfig, threads: int = 1,
               ) -> tuple[SweepResult, list[tuple[int, str]]]:
     """One robust fit per ladder entry, keyed by realized component count.
 
-    Annihilation makes the realized K at most the start size, so two
-    rungs can land on the same K; the better (smaller) contrast wins.
-    Failed rungs are reported, not fatal.
+    Every rung fits with robust_em's floor 1/n, the one penalty_rate
+    assumes. Annihilation makes the realized K at most the start size,
+    so two rungs can land on the same K; the better (smaller) contrast
+    wins. Failed rungs are reported, not fatal.
     """
     ladder = list(ladder)
     if not ladder:
@@ -312,8 +312,7 @@ def run_sweep(corpus: Corpus, ladder, config: EmConfig,
     for k_max in ladder:
         rung_config = replace(config, rng_seed=derive_seed(config.rng_seed, k_max))
         try:
-            fit = robust_em(corpus, k_max, rung_config, epsilon=epsilon,
-                            threads=threads)
+            fit = robust_em(corpus, k_max, rung_config, threads=threads)
         except (NumericalError, DegenerateFitError) as exc:
             failures.append((k_max, str(exc)))
             continue

@@ -162,12 +162,12 @@ class EvalReport:
 
 
 def _best_matching(true_labels: np.ndarray, fit_labels: np.ndarray,
-                   k_true: int, k_fit: int) -> tuple[int, list[tuple[int, int]]]:
+                   k_true: int, k_fit: int) -> int:
     from scipy.optimize import linear_sum_assignment  # keeps scipy.optimize out of CLI start-up
     table = np.zeros((k_true, k_fit), dtype=np.int64)
     np.add.at(table, (true_labels, fit_labels), 1)
     rows, cols = linear_sum_assignment(table, maximize=True)
-    return int(table[rows, cols].sum()), list(zip(rows.tolist(), cols.tolist()))
+    return int(table[rows, cols].sum())
 
 
 def evaluate_run(planted: PlantedCorpus, fit: FitResult) -> EvalReport:
@@ -182,6 +182,6 @@ def evaluate_run(planted: PlantedCorpus, fit: FitResult) -> EvalReport:
     labels = map_assign(corpus, model)
     risk = weighted_kl_risk(planted.mixture.densities, planted.labels_true, model, labels,
                             corpus.doc_lengths, corpus.total_tokens)
-    matched, _ = _best_matching(planted.labels_true, labels,
-                                planted.mixture.num_components, model.num_components)
+    matched = _best_matching(planted.labels_true, labels,
+                             planted.mixture.num_components, model.num_components)
     return EvalReport(risk=risk, agreement=matched / corpus.num_docs)

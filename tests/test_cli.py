@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -109,6 +110,20 @@ class TestIngest:
         code = cli.run(["ingest", str(bad), str(vocab),
                         "--out", str(tmp_path / "out.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("docword_text,vocab_text,message", [
+        ("1\n-3\n1\n1 1 1\n", "a\n", "line 2: header value must be nonnegative, got -3"),
+        ("1\n2\n1\n1 1 1\n", "a\n\n", "line 2: empty vocabulary token"),
+    ], ids=["negative-header", "empty-vocab-token"])
+    def test_bad_input_line_is_data_error(self, tmp_path, capsys, docword_text,
+                                          vocab_text, message):
+        docword, vocab = tmp_path / "docword.txt", tmp_path / "vocab.txt"
+        docword.write_text(docword_text)
+        vocab.write_text(vocab_text)
+        out = tmp_path / "out.json"
+        assert cli.run(["ingest", str(docword), str(vocab), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_word_id_out_of_range_is_data_error(self, tmp_path, capsys):
         docword = tmp_path / "docword.txt"
@@ -231,29 +246,21 @@ class TestSweepSelect:
         assert capsys.readouterr().err == f"error: rung K={k} exceeds num_docs = 40\n"
         assert not (tmp_path / "s.csv").exists()
 
-    def test_bad_epsilon_flag(self, planted_setup, tmp_path):
+    def test_bad_epsilon_flag(self, planted_setup, tmp_path, capsys):
+        # the floor is always 1/n for n tokens, so no flag sets it
         _, corpus_path = planted_setup
         code = cli.run(["sweep", str(corpus_path), "--out",
                         str(tmp_path / "s.csv"), "--kmax", "2",
-                        "--epsilon", "1.5"])
+                        "--epsilon", "0.01"])
         assert code == 1
-
-    def test_epsilon_float_reaches_the_model(self, planted_setup, tmp_path):
-        _, corpus_path = planted_setup
-        code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
-                        "--ladder", "2", "--starts", "3", "--epsilon", "0.001",
-                        "--fits-dir", str(tmp_path / "fits")])
-        assert code == 0
-        model_path = next((tmp_path / "fits").glob("*.model.json"))
-        assert json.loads(model_path.read_text())["epsilon_n"] == 0.001
+        assert "unrecognized arguments: --epsilon 0.01" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--epsilon", "abc", "argument --epsilon: expected '1/n' or a float in (0, 1), "
-                             "got 'abc'"),
         ("--ladder", "a,b", "argument --ladder: expected comma-separated integers, "
                             "got 'a,b'"),
         ("--ladder", ",", "argument --ladder: ladder is empty"),
-    ], ids=["epsilon-text", "ladder-text", "ladder-empty"])
+    ], ids=["ladder-text", "ladder-empty"])
     def test_bad_flag_text_is_a_usage_error(self, planted_setup, tmp_path, capsys,
                                             flag, value, message):
         _, corpus_path = planted_setup
@@ -284,13 +291,6 @@ class TestSweepSelect:
         for name in names:
             assert (tmp_path / "fits" / name).read_bytes() \
                 == (tmp_path / "ref" / name).read_bytes()
-
-    def test_epsilon_default_token(self, planted_setup, tmp_path):
-        _, corpus_path = planted_setup
-        code = cli.run(["sweep", str(corpus_path), "--out",
-                        str(tmp_path / "s.csv"), "--kmax", "2",
-                        "--starts", "3", "--epsilon", "1/n"])
-        assert code == 0
 
     def test_numerical_failure_exit_code(self, planted_setup, tmp_path,
                                          monkeypatch):
@@ -801,6 +801,19 @@ class TestSynth:
             "error: config field 'seeds': expected a list of integers >= 0\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"min_pairwise_kll": 1e6}, "config field 'min_pairwise_kll': unknown field"),
+        ({"epsilon": 0.01}, "config field 'epsilon': unknown field"),
+        ({"k_max": 99999}, "config field 'k_max': give ladder or k_max, not both"),
+        ({"em": 5}, "config field 'em': expected an object of EmConfig overrides"),
+    ], ids=["typo", "epsilon", "ladder-and-k-max", "em-not-object"])
+    def test_field_rejected_before_any_output(self, tmp_path, capsys, overrides, message):
+        # a field the loader would not read, or would read without checking
+        path = synth_config(tmp_path, **overrides)
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_em_override(self, tmp_path):
         path = synth_config(tmp_path, em={"bogus_knob": 1})
         assert cli.run(["synth", str(path), "--out-dir",
@@ -846,3 +859,32 @@ class TestSynth:
         path = synth_config(tmp_path, em={"annihilation": "bogus"})
         assert cli.run(["synth", str(path), "--out-dir",
                         str(tmp_path / "o2")]) == 2
+
+
+def documented_commands() -> list[list[str]]:
+    """Each ``docmix ...`` line of README's sh blocks and scripts/nips_pipeline.sh,
+    continuations joined and every $VAR or ${VAR} replaced by 1."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+        texts = re.findall(r"^```sh\n(.*?)^```", handle.read(), re.M | re.S)
+    with open(os.path.join(root, "scripts", "nips_pipeline.sh"), encoding="utf-8") as handle:
+        texts.append(handle.read())
+    commands = []
+    for text in texts:
+        for line in text.replace("\\\n", " ").splitlines():
+            line = re.sub(r"\$\{[^}]*\}|\$\w+", "1", line).strip()
+            if line.startswith("docmix "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_documented_command_lines_parse():
+    # a flag deleted from the parser must not live on in the docs
+    commands = documented_commands()
+    assert {argv[0] for argv in commands} == {"ingest", "sweep", "select", "report"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"documented command does not parse: docmix {shlex.join(argv)}")

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import threading
 from dataclasses import replace
 
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import docmix as dm
+import docmix.cli as cli
 import docmix.em as em
 import docmix.mixture as mixture
+from docmix.corpus import Corpus, Vocabulary, save_corpus
 from docmix.em import (
     EmConfig,
     dumps_run_log,
@@ -482,9 +485,18 @@ class TestRobustEm:
         assert np.array_equal(serial.model.log_f, parallel.model.log_f)
         assert serial.loglik_trace == parallel.loglik_trace
 
-    def test_infeasible_floor(self, tiny_corpus):
-        with pytest.raises(InfeasibleFloorError):
-            robust_em(tiny_corpus, 2, EmConfig(rng_seed=0), epsilon=0.5)
+    def test_infeasible_floor(self, tmp_path, capsys):
+        # more words than tokens: the floor 1/n leaves no room on the simplex
+        corpus = Corpus.from_docs(Vocabulary(("a", "b", "c")), [{0: 2}], [1])
+        message = "floor 0.5 infeasible for 3 categories (3*0.5 > 1)"
+        with pytest.raises(InfeasibleFloorError, match=re.escape(message)):
+            robust_em(corpus, 1, EmConfig(rng_seed=0))
+        save_corpus(corpus, tmp_path / "c.json")
+        out = tmp_path / "s.csv"
+        assert cli.run(["sweep", str(tmp_path / "c.json"), "--kmax", "1",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestThreads:

@@ -144,7 +144,7 @@ def test_load_year_sidecar(text, newline):
 SYNTH_TEXT = json.dumps({
     "schema_version": 1, "k_true": 2, "num_words": 10, "num_docs": 30,
     "length_range": [20, 50], "min_pairwise_kl": 1.0, "concentration": 0.5,
-    "epsilon": 0.01, "seeds": [0, 1], "ladder": [1, 2, 3], "mode": "bic",
+    "seeds": [0, 1], "ladder": [1, 2, 3], "mode": "bic",
     "em": {"n_starts": 4, "rel_tol": 1e-6, "annihilation": "mml"},
 })
 

@@ -150,25 +150,20 @@ class TestBruteForce:
 class TestMatching:
     def test_identity(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
-        matched, pairs = _best_matching(labels, labels, 3, 3)
-        assert matched == 6
-        assert sorted(pairs) == [(0, 0), (1, 1), (2, 2)]
+        assert _best_matching(labels, labels, 3, 3) == 6
 
     def test_permuted_labels_fully_match(self):
         rng = np.random.default_rng(16)
         true = rng.integers(0, 4, size=40)
         perm = np.array([2, 3, 1, 0])
         fitted = perm[true]
-        matched, pairs = _best_matching(true, fitted, 4, 4)
-        assert matched == 40
-        assert dict(pairs) == {0: 2, 1: 3, 2: 1, 3: 0}
+        assert _best_matching(true, fitted, 4, 4) == 40
 
     def test_unequal_component_counts(self):
         true = np.array([0, 0, 0, 1, 1, 1])
         fitted = np.array([0, 0, 1, 2, 2, 2])
-        matched, pairs = _best_matching(true, fitted, 2, 3)
-        assert matched == 5
-        assert len(pairs) == 2
+        # one true label splits over two fitted ones, and only one can match it
+        assert _best_matching(true, fitted, 2, 3) == 5
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
@@ -178,7 +173,7 @@ class TestMatching:
         k_fit = int(rng.integers(2, 5))
         true = rng.integers(0, k_true, size=30)
         fitted = rng.integers(0, k_fit, size=30)
-        matched, pairs = _best_matching(true, fitted, k_true, k_fit)
+        matched = _best_matching(true, fitted, k_true, k_fit)
         table = np.zeros((k_true, k_fit), dtype=np.int64)
         for t, f in zip(true, fitted):
             table[t, f] += 1
@@ -188,9 +183,6 @@ class TestMatching:
                          for perm in itertools.permutations(range(tall.shape[0]),
                                                             tall.shape[1]))
         assert matched == exhaustive
-        assert len(pairs) == min(k_true, k_fit)
-        assert len({t for t, _ in pairs}) == len({f for _, f in pairs}) == len(pairs)
-        assert sum(table[t, f] for t, f in pairs) == matched
 
 
 class TestEvaluateRun:
