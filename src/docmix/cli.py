@@ -3,8 +3,10 @@
 Every command is deterministic given its inputs and flags. Exit codes:
 0 success, 1 usage, 2 data error, 3 numerical failure. All files are
 written atomically (temp file + rename). Each subcommand is one
-``cmd_<name>(args)``, looked up when ``build_parser`` runs. The density
-floor is never a flag or config field: every fit uses 1/n for n tokens.
+``cmd_<name>(args)``, looked up when ``build_parser`` runs; the parser
+owns every flag rule. Each input has one way in: every fit's floor is
+1/n for n tokens, ``select`` reads n and L only from ``--corpus``, and
+document years come only from ``report --metadata``.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def cmd_ingest(args) -> None:
 
 def cmd_sweep(args) -> None:
     # --kmax stays a range: an oversized one is rejected below, never listed
-    ladder = args.ladder if args.ladder is not None else range(1, args.kmax + 1)
+    ladder = args.ladder or range(1, args.kmax + 1)
     config = EmConfig(
         n_starts=args.starts,
         short_iters=args.short_iters,
@@ -76,7 +78,7 @@ def cmd_sweep(args) -> None:
         init_noise_scale=args.noise_scale,
     )
     corpus = load_corpus(args.corpus)
-    k_top = args.kmax if args.ladder is None else max(args.ladder)
+    k_top = max(args.ladder) if args.ladder else args.kmax
     if k_top > corpus.num_docs:
         raise ValueError(f"rung K={k_top} exceeds num_docs = {corpus.num_docs}")
     sweep, failures = run_sweep(corpus, ladder, config, threads=args.threads)
@@ -89,16 +91,20 @@ def cmd_sweep(args) -> None:
             atomic_write_text(stem + ".runlog.json", dumps_run_log(entry.fit, config))
     for k_max, message in failures:
         print(f"rung {k_max} failed: {message}", file=sys.stderr)
-    print(f"swept {len(ladder)} rungs into {len(sweep)} distinct K "
+    print(f"swept {len(set(ladder))} rungs into {len(sweep)} distinct K "
           f"({len(failures)} failures)")
 
 
 def cmd_select(args) -> None:
     sweep = load_sweep(args.sweep)
-    total_tokens, num_docs = args.tokens, args.docs
+    total_tokens = num_docs = None
     if args.corpus is not None:
         corpus = load_corpus(args.corpus)
         total_tokens, num_docs = corpus.total_tokens, corpus.num_docs
+        for e in sweep.entries:
+            if e.dimension != e.num_comps * corpus.num_words:
+                raise ValueError(f"sweep row K={e.num_comps} has D_K = {e.dimension}, not "
+                                 f"K x B = {e.num_comps * corpus.num_words} for this corpus")
     report = select_from_sweep(sweep, args.mode, total_tokens=total_tokens,
                                num_docs=num_docs, multiplier=args.multiplier,
                                plateau_tol=args.plateau_tol,
@@ -115,9 +121,7 @@ def cmd_report(args) -> None:
         raise ValueError(
             f"model has {model.num_words} words but corpus has {corpus.num_words}"
         )
-    years = corpus.doc_years
-    if args.metadata is not None:
-        years = load_year_sidecar(args.metadata)
+    years = None if args.metadata is None else load_year_sidecar(args.metadata)
 
     # everything that can fail runs before the first file is written
     densities = model.densities
@@ -205,7 +209,7 @@ def load_synth_config(path) -> dict:
         "min_pairwise_kl": _optional(config, "min_pairwise_kl", float, 0.0),
         "concentration": _optional(config, "concentration", float, 1.0),
     }
-    for key in ("k_true", "num_words"):
+    for key in ("k_true", "num_words", "num_docs"):
         if out[key] < 1:
             raise ConfigError("must be >= 1", field=key)
     if not 0 < out["concentration"] < math.inf:
@@ -219,8 +223,9 @@ def load_synth_config(path) -> dict:
         raise ConfigError("expected [min, max] integers with 1 <= min <= max",
                           field="length_range")
     out["length_range"] = (length_range[0], length_range[1])
-    if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in out["seeds"]):
-        raise ConfigError("expected a list of integers >= 0", field="seeds")
+    if not out["seeds"] or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                                   for s in out["seeds"]):
+        raise ConfigError("expected a nonempty list of integers >= 0", field="seeds")
     if "ladder" in config and "k_max" in config:
         raise ConfigError("give ladder or k_max, not both", field="k_max")
     if "ladder" in config:
@@ -242,6 +247,8 @@ def load_synth_config(path) -> dict:
     em_overrides = config.get("em", {})
     if not isinstance(em_overrides, dict):
         raise ConfigError("expected an object of EmConfig overrides", field="em")
+    if "rng_seed" in em_overrides:
+        raise ConfigError("not a field here: each entry of seeds sets it", field="em.rng_seed")
     for known in fields(EmConfig):
         if known.name in em_overrides:
             em_overrides[known.name] = _require(em_overrides, known.name,
@@ -302,14 +309,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(value: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {parsed}")
-    return parsed
+def _number_flag(kind, accept, rule: str):
+    """An argparse type: the flag's text as a ``kind`` for which ``accept`` holds."""
+    def parse(value: str):
+        try:
+            parsed = kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {value!r}") from None
+        if not accept(parsed):  # a NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {parsed}")
+        return parsed
+    return parse
+
+
+_positive_int = _number_flag(int, lambda n: n >= 1, "an integer >= 1")
+_fraction = _number_flag(float, lambda x: 0 < x <= 1, "a number in (0, 1]")
 
 
 def _ladder_flag(value: str) -> list[int]:
@@ -340,19 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("docword", help="docword file: D, W, NNZ headers then triples")
     p.add_argument("vocab", help="vocabulary file, one token per line")
     p.add_argument("--out", required=True, help="output corpus path")
-    p.add_argument("--max-doc-fraction", type=float, default=0.8,
+    p.add_argument("--max-doc-fraction", type=_fraction, default=0.8,
                    help="drop words in more than this fraction of docs (default 0.8)")
     p.add_argument("--top-b", type=_positive_int, default=300,
                    help="keep this many most frequent words (default 300)")
-    p.set_defaults(func=cmd_ingest, parser=p)
+    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("sweep", help="fit a ladder of component counts")
     p.add_argument("corpus", help="corpus file from ingest")
     p.add_argument("--out", required=True, help="output sweep CSV path")
-    p.add_argument("--kmax", type=_positive_int, default=None,
-                   help="run the ladder 1..kmax")
-    p.add_argument("--ladder", type=_ladder_flag, default=None,
-                   help="explicit comma-separated ladder (overrides --kmax)")
+    rungs = p.add_mutually_exclusive_group(required=True)
+    rungs.add_argument("--kmax", type=_positive_int, help="run the ladder 1..kmax")
+    rungs.add_argument("--ladder", type=_ladder_flag,
+                       help="explicit comma-separated ladder; a repeated entry is fitted once")
     p.add_argument("--fits-dir", default=None,
                    help="also save per-K model and run-log files here")
     p.add_argument("--seed", type=int, default=EmConfig.rng_seed,
@@ -370,25 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative loglik stall tolerance (default %(default)s)")
     p.add_argument("--noise-scale", type=float, default=EmConfig.init_noise_scale,
                    help="lognormal sigma of random-start densities (default %(default)s)")
-    p.set_defaults(func=cmd_sweep, parser=p)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("select", help="pick the component count from a sweep CSV")
     p.add_argument("sweep", help="sweep CSV from the sweep command")
     p.add_argument("--out", required=True, help="output report JSON path")
     p.add_argument("--mode", choices=MODES, default="slope")
     p.add_argument("--corpus", default=None,
-                   help="corpus file, read for token/doc counts")
-    p.add_argument("--tokens", type=int, default=None,
-                   help="total token count when no corpus file is given")
-    p.add_argument("--docs", type=int, default=None,
-                   help="document count when no corpus file is given")
+                   help="the swept corpus: its token and document counts price every "
+                        "penalty but slope's dimension shape, and each D_K must be "
+                        "K times its word count")
     p.add_argument("--multiplier", type=float, default=1.0,
                    help="penalty multiplier for theoretical mode")
     p.add_argument("--plateau-tol", type=float, default=0.05,
                    help="relative slope-change tolerance (default 0.05)")
     p.add_argument("--slope-shape", choices=SLOPE_SHAPES, default="dimension",
                    help="penalty shape used by slope mode")
-    p.set_defaults(func=cmd_select, parser=p)
+    p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("report", help="top words, assignments, and yearly evolution")
     p.add_argument("corpus", help="corpus file from ingest")
@@ -410,21 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # args.parser is the subcommand's, so these print its usage line
-        if args.command == "sweep" and args.kmax is None and args.ladder is None:
-            args.parser.error("sweep needs --kmax or --ladder")
-        if args.command == "ingest" and not 0 < args.max_doc_fraction <= 1:
-            args.parser.error("argument --max-doc-fraction: must be in (0, 1], "
-                              f"got {args.max_doc_fraction}")
-        if args.command == "select" and args.corpus is not None and (
-                args.tokens is not None or args.docs is not None):
-            args.parser.error("select takes --corpus or --tokens/--docs, not both")
         args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
+    except SystemExit as exc:  # from argparse: 0 after --help, 1 on a usage error
+        return exc.code
     except (DocmixError, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (NumericalError, DegenerateFitError)) else 2

@@ -8,6 +8,7 @@ lengths, which is the point: every operation downstream weights documents
 by n_l where it matters. The matrix is validated once, when the corpus is
 built. Only the sparse products of EM need scipy: ``Corpus.csr()`` builds
 its matrix on first use, so ingesting or reading a corpus never imports it.
+A corpus holds no document years: ``report --metadata`` is their one way in.
 
 On disk the exchange format is the UCI bag-of-words pair: a ``docword``
 file with three integer header lines (D, W, NNZ) followed by NNZ
@@ -130,7 +131,6 @@ class Corpus:
     vocab: Vocabulary
     counts: CountMatrix
     doc_ids: list[int]
-    doc_years: dict[int, int] | None = None
     dropped_doc_ids: list[int] = field(default_factory=list)
     doc_lengths: list[int] = field(init=False, repr=False)
     total_tokens: int = field(init=False)
@@ -255,12 +255,15 @@ def parse_bag_of_words(docword_lines: Iterable[str], vocab_lines: Iterable[str])
     if num_rows < num_triples:
         raise ParseError(f"declared {num_triples} triples but found {num_rows}", line=lineno)
 
-    tokens = []
+    tokens: dict[str, int] = {}  # each token's vocab line
     for vocab_lineno, line in enumerate(vocab_lines, start=1):
         token = line.strip()
         if not token:
             raise ParseError("empty vocabulary token", line=vocab_lineno)
-        tokens.append(token)
+        if token in tokens:
+            raise ParseError(f"vocabulary token {token!r} repeats line {tokens[token]}",
+                             line=vocab_lineno)
+        tokens[token] = vocab_lineno
     if len(tokens) != num_words:
         raise ParseError(
             f"vocabulary has {len(tokens)} tokens but the docword header declares {num_words}"
@@ -370,14 +373,10 @@ def prune_vocabulary(corpus: Corpus, max_doc_fraction: float, top_b: int) -> Cor
     nonempty = np.diff(bounds) > 0
     new_ids = [doc_id for doc_id, keep in zip(corpus.doc_ids, nonempty) if keep]
     newly_dropped = [doc_id for doc_id, keep in zip(corpus.doc_ids, nonempty) if not keep]
-    years = None
-    if corpus.doc_years is not None:
-        years = {i: corpus.doc_years[i] for i in new_ids if i in corpus.doc_years} or None
     return Corpus(
         vocab=Vocabulary(tuple(corpus.vocab.words[b] for b in kept.tolist())),
         counts=CountMatrix(data[entries], column[entries], np.append(0, bounds[1:][nonempty])),
         doc_ids=new_ids,
-        doc_years=years,
         dropped_doc_ids=list(corpus.dropped_doc_ids) + newly_dropped,
     )
 
@@ -389,7 +388,7 @@ def dumps_corpus(corpus: Corpus) -> str:
         "words": list(corpus.vocab.words),
         "doc_ids": corpus.doc_ids,
         "docs": [[indices[a:b], counts[a:b]] for a, b in zip(bounds, bounds[1:])],
-        "doc_years": sorted(corpus.doc_years.items()) if corpus.doc_years is not None else None,
+        "doc_years": None,  # a field of every version-1 file; years come from --metadata
         "dropped_doc_ids": corpus.dropped_doc_ids,
     })
 
@@ -404,23 +403,20 @@ def _int_array(values, what: str) -> np.ndarray:
 
 
 def _corpus_from_payload(payload: dict) -> Corpus:
-    docs, years = payload["docs"], payload["doc_years"]
+    docs = payload["docs"]
+    if payload["doc_years"] is not None:
+        raise FormatError("doc_years must be null: give years to report --metadata")
     if not all(type(payload[k]) is list for k in ("words", "docs", "doc_ids", "dropped_doc_ids")):
         raise FormatError("words, docs, doc_ids and dropped_doc_ids must be lists")
     if not all(isinstance(doc, list) and len(doc) == 2 and len(doc[0]) == len(doc[1])
                for doc in docs):
         raise FormatError("every document must be an [indices, counts] pair of equal lengths")
-    if years is not None:
-        years = dict(_int_array(pair, "doc_years").tolist() for pair in payload["doc_years"])
-        if type(payload["doc_years"]) is not list or len(years) != len(payload["doc_years"]):
-            raise FormatError("doc_years must be a list of [doc id, year] pairs, one per doc id")
     return Corpus(
         vocab=Vocabulary(tuple(payload["words"])),
         counts=CountMatrix(_int_array(chain.from_iterable(doc[1] for doc in docs), "counts"),
                            _int_array(chain.from_iterable(doc[0] for doc in docs), "word indices"),
                            np.cumsum([0] + [len(doc[0]) for doc in docs])),
         doc_ids=_int_array(payload["doc_ids"], "doc_ids").tolist(),
-        doc_years=years or None,
         dropped_doc_ids=_int_array(payload["dropped_doc_ids"], "dropped_doc_ids").tolist(),
     )
 

@@ -295,14 +295,14 @@ def derive_seed(base_seed: int, k_max: int) -> int:
 
 def run_sweep(corpus: Corpus, ladder, config: EmConfig, threads: int = 1,
               ) -> tuple[SweepResult, list[tuple[int, str]]]:
-    """One robust fit per ladder entry, keyed by realized component count.
+    """One robust fit per distinct ladder entry, keyed by realized component count.
 
     Every rung fits with robust_em's floor 1/n, the one penalty_rate
     assumes. Annihilation makes the realized K at most the start size,
     so two rungs can land on the same K; the better (smaller) contrast
     wins. Failed rungs are reported, not fatal.
     """
-    ladder = list(ladder)
+    ladder = list(dict.fromkeys(ladder))  # a repeated rung would repeat its fit
     if not ladder:
         raise ValueError("ladder is empty")
     if any(k < 1 for k in ladder):

@@ -65,6 +65,15 @@ def random_corpus(num_docs, num_words, max_len, seed):
     return Corpus.from_docs(vocab, docs, doc_ids=list(range(1, num_docs + 1)))
 
 
+def sized_corpus(num_docs, num_words, total_tokens):
+    """A corpus of exactly these sizes, for pricing a sweep: document l
+    holds only word l mod B."""
+    base, extra = divmod(total_tokens, num_docs)
+    vocab = Vocabulary(words=tuple(f"w{b}" for b in range(num_words)))
+    docs = [{l % num_words: base + (l < extra)} for l in range(num_docs)]
+    return Corpus.from_docs(vocab, docs, doc_ids=list(range(1, num_docs + 1)))
+
+
 DOCWORD_TEXT = """3
 5
 6

@@ -19,6 +19,8 @@ from docmix.mixture import load_model
 from docmix.selection import MODES
 from docmix.synth import generate_corpus, planted_mixture
 
+from conftest import sized_corpus
+
 
 @pytest.fixture
 def planted_setup(tmp_path):
@@ -41,6 +43,13 @@ def fitted_setup(planted_setup, tmp_path):
                     "--ladder", "1,2", "--starts", "3", "--fits-dir",
                     str(fits_dir)]) == 0
     return corpus_path, sweep_path, fits_dir / "fit_K2.model.json"
+
+
+def corpus_file(tmp_path, num_words, num_docs=100, total_tokens=5000):
+    """A saved corpus of exactly these sizes, for select to price a sweep with."""
+    path = tmp_path / f"corpus_B{num_words}.json"
+    save_corpus(sized_corpus(num_docs, num_words, total_tokens), path)
+    return path
 
 
 def test_cli_starts_without_oracle_and_matching_imports():
@@ -114,7 +123,8 @@ class TestIngest:
     @pytest.mark.parametrize("docword_text,vocab_text,message", [
         ("1\n-3\n1\n1 1 1\n", "a\n", "line 2: header value must be nonnegative, got -3"),
         ("1\n2\n1\n1 1 1\n", "a\n\n", "line 2: empty vocabulary token"),
-    ], ids=["negative-header", "empty-vocab-token"])
+        ("1\n3\n1\n1 1 1\n", "a\nb\na\n", "line 3: vocabulary token 'a' repeats line 1"),
+    ], ids=["negative-header", "empty-vocab-token", "repeated-vocab-token"])
     def test_bad_input_line_is_data_error(self, tmp_path, capsys, docword_text,
                                           vocab_text, message):
         docword, vocab = tmp_path / "docword.txt", tmp_path / "vocab.txt"
@@ -183,14 +193,33 @@ class TestSweepSelect:
         with open(sweep_path) as handle:
             assert len(list(csv.reader(handle))) <= 4
 
-    def test_ladder_overrides_kmax(self, planted_setup, tmp_path, capsys):
+    def test_kmax_with_ladder_is_a_usage_error(self, planted_setup, tmp_path, capsys):
         _, corpus_path = planted_setup
         code = cli.run(["sweep", str(corpus_path), "--out",
                         str(tmp_path / "s.csv"), "--kmax", "3",
                         "--ladder", "1,2"])
-        assert code == 0
-        # two rungs, not three: the explicit ladder wins
-        assert "swept 2 rungs" in capsys.readouterr().out
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "sweep: error: argument --ladder: not allowed with argument --kmax\n")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_repeated_rung_is_fitted_once(self, planted_setup, tmp_path, capsys,
+                                          monkeypatch):
+        _, corpus_path = planted_setup
+        fit, rungs = selection.robust_em, []
+
+        def recorded(corpus, k_max, *args, **kwargs):
+            rungs.append(k_max)
+            return fit(corpus, k_max, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "robust_em", recorded)
+        assert cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
+                        "--ladder", "2,1,2,2", "--starts", "2"]) == 0
+        assert rungs == [2, 1]
+        assert capsys.readouterr().out.startswith("swept 2 rungs into ")
+        assert cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "r.csv"),
+                        "--ladder", "2,1", "--starts", "2"]) == 0
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
     def test_select_aic_needs_tokens(self, planted_setup, tmp_path):
         _, corpus_path = planted_setup
@@ -202,7 +231,7 @@ class TestSweepSelect:
         assert code == 2
         code = cli.run(["select", str(sweep_path), "--out",
                         str(tmp_path / "r.json"), "--mode", "aic",
-                        "--tokens", "100000"])
+                        "--corpus", str(corpus_path)])
         assert code == 0
 
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
@@ -329,7 +358,7 @@ class TestSweepSelect:
         sweep_path = tmp_path / "sweep.csv"
         sweep_path.write_bytes(text.encode())
         code = cli.run(["select", str(sweep_path), "--out", str(tmp_path / "r.json"),
-                        "--mode", "bic", "--tokens", "1000"])
+                        "--mode", "bic", "--corpus", str(corpus_file(tmp_path, 20))])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
@@ -361,7 +390,7 @@ class TestSweepSelect:
         sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
         sweep_path.write_text("K,D_K,min_contrast\n1,20,1000\n2,40,900\n3,60,850\n")
         assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode",
-                        "theoretical", "--tokens", "5000", "--docs", "100",
+                        "theoretical", "--corpus", str(corpus_file(tmp_path, 20)),
                         "--multiplier", "nan"]) == 2
         assert capsys.readouterr().err == "error: criterion for K=1 is not finite: nan\n"
         assert not out.exists()
@@ -370,8 +399,34 @@ class TestSweepSelect:
         sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
         sweep_path.write_text("K,D_K,min_contrast\n1,20,1000\n2,41,900\n")
         assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode",
-                        "theoretical", "--tokens", "5000", "--docs", "100"]) == 2
-        assert capsys.readouterr().err == "error: dimension 41 is not a multiple of K=2\n"
+                        "theoretical", "--corpus", str(corpus_file(tmp_path, 20))]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep row K=2 has D_K = 41, not K x B = 40 for this corpus\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sweep_of_another_vocabulary_is_data_error(self, tmp_path, capsys, mode):
+        # a B=20 sweep priced with a B=30 corpus
+        sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        sweep_path.write_text("K,D_K,min_contrast\n" + "".join(
+            f"{k},{20 * k},{1000 - 50 * k}\n" for k in range(1, 7)))
+        assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode", mode,
+                        "--corpus", str(corpus_file(tmp_path, 30))]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep row K=1 has D_K = 20, not K x B = 30 for this corpus\n")
+        assert not out.exists()
+
+    def test_corpus_with_years_is_data_error(self, planted_setup, tmp_path, capsys):
+        # years reach report only through --metadata
+        _, corpus_path = planted_setup
+        blob = json.loads(corpus_path.read_text())
+        assert blob["doc_years"] is None
+        blob["doc_years"] = [[1, 1990]]
+        corpus_path.write_text(json.dumps(blob))
+        out = tmp_path / "s.csv"
+        assert cli.run(["sweep", str(corpus_path), "--out", str(out), "--kmax", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: doc_years must be null: give years to report --metadata\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
@@ -384,8 +439,8 @@ class TestSweepSelect:
         sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
         sweep_path.write_text("K,D_K,min_contrast\n" + "".join(
             f"{k},{20 * k},{1000 - 50 * k}\n" for k in range(1, 7)))
-        assert cli.run(["select", str(sweep_path), "--out", str(out), "--tokens", "5000",
-                        "--docs", "100", *flags]) == 2
+        assert cli.run(["select", str(sweep_path), "--out", str(out),
+                        "--corpus", str(corpus_file(tmp_path, 20)), *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -460,14 +515,25 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flags", [["--tokens", "1"], ["--docs", "5"],
                                        ["--tokens", "1", "--docs", "5"]])
     def test_select_corpus_with_counts(self, fitted_setup, tmp_path, capsys, flags):
+        # n and L come only from --corpus
         corpus_path, sweep_path, _ = fitted_setup
         out = tmp_path / "out"
         capsys.readouterr()
         assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode", "bic",
                         *flags, "--corpus", str(corpus_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: docmix select ")
-        assert err.endswith("error: select takes --corpus or --tokens/--docs, not both\n")
+        assert err.startswith("usage: docmix ")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
+        assert not out.exists()
+
+    def test_select_without_corpus_takes_no_counts(self, fitted_setup, tmp_path, capsys):
+        _, sweep_path, _ = fitted_setup
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode", "theoretical",
+                        "--tokens", "5000"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --tokens 5000\n")
         assert not out.exists()
 
     def test_sweep_needs_kmax_or_ladder(self, fitted_setup, tmp_path, capsys):
@@ -477,7 +543,7 @@ class TestUsageErrors:
         assert cli.run(["sweep", str(corpus_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: docmix sweep ")
-        assert err.endswith("error: sweep needs --kmax or --ladder\n")
+        assert err.endswith("error: one of the arguments --kmax --ladder is required\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [
@@ -747,9 +813,10 @@ class TestSynth:
         ("length_range", "[50, 20]"), ("length_range", "[0, 0]"), ("k_true", "0"),
         ("num_words", "0"), ("concentration", "0"), ("concentration", "-1"),
         ("concentration", "1e400"), ("min_pairwise_kl", "1e400"), ("min_pairwise_kl", "1e6"),
+        ("num_docs", "0"), ("seeds", "[]"),
     ], ids=["length-reversed", "length-zero", "k-true-zero", "num-words-zero",
             "concentration-zero", "concentration-negative", "concentration-overflow",
-            "kl-overflow-literal", "kl-unreachable"])
+            "kl-overflow-literal", "kl-unreachable", "num-docs-zero", "seeds-empty"])
     def test_value_out_of_range_is_config_error(self, tmp_path, capsys, field, literal):
         # 1e400 is a valid JSON number that parses to inf
         path = synth_config(tmp_path, **{field: "VALUE"})
@@ -798,7 +865,7 @@ class TestSynth:
         path = synth_config(tmp_path, seeds=[0, -1])
         assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "error: config field 'seeds': expected a list of integers >= 0\n")
+            "error: config field 'seeds': expected a nonempty list of integers >= 0\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("overrides,message", [
@@ -806,7 +873,9 @@ class TestSynth:
         ({"epsilon": 0.01}, "config field 'epsilon': unknown field"),
         ({"k_max": 99999}, "config field 'k_max': give ladder or k_max, not both"),
         ({"em": 5}, "config field 'em': expected an object of EmConfig overrides"),
-    ], ids=["typo", "epsilon", "ladder-and-k-max", "em-not-object"])
+        ({"em": {"rng_seed": 7}},
+         "config field 'em.rng_seed': not a field here: each entry of seeds sets it"),
+    ], ids=["typo", "epsilon", "ladder-and-k-max", "em-not-object", "em-rng-seed"])
     def test_field_rejected_before_any_output(self, tmp_path, capsys, overrides, message):
         # a field the loader would not read, or would read without checking
         path = synth_config(tmp_path, **overrides)

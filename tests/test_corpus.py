@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 from unittest import mock
@@ -301,15 +300,6 @@ class TestPrune:
         with pytest.raises(EmptyVocabularyError):
             prune_vocabulary(corpus, max_doc_fraction=0.1, top_b=4)
 
-    def test_years_follow_retained_docs(self):
-        # only "solo" kept, so docs 1..3 become empty; doc 3 never had a year
-        corpus = dataclasses.replace(self.build(), doc_years={1: 1990, 2: 1991, 4: 1994})
-        pruned = prune_vocabulary(corpus, max_doc_fraction=0.9, top_b=1)
-        assert pruned.doc_ids == [4]
-        assert pruned.doc_years == {4: 1994}
-        corpus = dataclasses.replace(corpus, doc_years={1: 1990, 2: 1991})
-        assert prune_vocabulary(corpus, max_doc_fraction=0.9, top_b=1).doc_years is None
-
 
 class TestPersistence:
     def test_save_load(self, tmp_path, tiny_corpus):
@@ -375,12 +365,6 @@ class TestPersistence:
         corrupt(blob)
         with pytest.raises(FormatError):
             loads_corpus(json.dumps(blob))
-
-    def test_years_survive(self, tiny_corpus):
-        years = dict.fromkeys(tiny_corpus.doc_ids, 1999)
-        with_years = dataclasses.replace(tiny_corpus, doc_years=years)
-        back = loads_corpus(dumps_corpus(with_years))
-        assert back.doc_years == with_years.doc_years
 
 
 class TestYearSidecar:

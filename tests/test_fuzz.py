@@ -36,7 +36,7 @@ EXAMPLES = settings(max_examples=100, deadline=None)
 CORPUS_TEXT = dumps_corpus(dataclasses.replace(
     Corpus.from_docs(Vocabulary(("alpha", "beta", "gamma", "delta", "eps")), TINY_DOCS[:4],
                      doc_ids=[2, 3, 5, 7]),
-    doc_years={2: 1990, 5: 1991}, dropped_doc_ids=[4],
+    dropped_doc_ids=[4],
 ))
 MODEL_TEXT = dumps_model(random_model(2, 4, 100, seed=0))
 SWEEP_TEXT = sweep_to_csv(SweepResult(entries=(SweepEntry(1, 4, 120.5),

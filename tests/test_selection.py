@@ -6,6 +6,7 @@ import pytest
 
 import docmix as dm
 import docmix.cli as cli
+from docmix.corpus import save_corpus
 from docmix.em import EmConfig
 from docmix.errors import (
     DegenerateRegressionError,
@@ -32,6 +33,8 @@ from docmix.selection import (
     theoretical_penalty,
     varying_vocab_penalty,
 )
+
+from conftest import sized_corpus
 
 
 def reference_rate(n):
@@ -270,6 +273,11 @@ class TestSelectFromSweep:
         with pytest.raises(ValueError):
             select_from_sweep(sweep, "theoretical", total_tokens=50_000)
 
+    def test_dimension_not_multiple_of_k(self):
+        sweep = SweepResult(entries=(SweepEntry(1, 20, 1000.0), SweepEntry(2, 41, 900.0)))
+        with pytest.raises(ValueError, match="^dimension 41 is not a multiple of K=2$"):
+            select_from_sweep(sweep, "theoretical", total_tokens=5000, num_docs=100)
+
     def test_unknown_mode(self):
         sweep = self.synthetic()
         with pytest.raises(ValueError):
@@ -305,9 +313,10 @@ class TestSelectFromSweep:
     def test_slope_theoretical_shape_through_cli(self, tmp_path, capsys):
         sweep_path, out = tmp_path / "sweep.csv", tmp_path / "selection.json"
         save_sweep(self.kinked(), sweep_path)
+        corpus_path = tmp_path / "corpus.json"
+        save_corpus(sized_corpus(400, 30, 50_000), corpus_path)
         assert cli.run(["select", str(sweep_path), "--out", str(out),
-                        "--slope-shape", "theoretical", "--tokens", "50000",
-                        "--docs", "400"]) == 0
+                        "--slope-shape", "theoretical", "--corpus", str(corpus_path)]) == 0
         report = select_from_sweep(self.kinked(), "slope", total_tokens=50_000,
                                    num_docs=400, slope_shape="theoretical")
         assert out.read_text() == dumps_selection_report(report)
