@@ -135,7 +135,7 @@ def main():
     corpus = generate_corpus(mix, 5804, (100, 900), seed=np.random.SeedSequence((0, 2))).corpus
     counts = corpus.csr()
     epsilon = mixture.default_floor(corpus.total_tokens)
-    pi, log_f = em._random_init_block(corpus, 20, [0, 1], epsilon, 1.0)
+    pi, log_f = em._random_init_block(corpus, 20, [0, 1], epsilon)
     pi = pi.ravel()
     for _ in range(4):
         resp, _ = em._e_step_block(counts, pi, log_f, 20)

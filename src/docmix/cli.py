@@ -5,8 +5,10 @@ Every command is deterministic given its inputs and flags. Exit codes:
 written atomically (temp file + rename). Each subcommand is one
 ``cmd_<name>(args)``, looked up when ``build_parser`` runs; the parser
 owns every flag rule. Each input has one way in: every fit's floor is
-1/n for n tokens, ``select`` reads n and L only from ``--corpus``, and
-document years come only from ``report --metadata``.
+1/n for n tokens, ``select`` reads n and L only from its required
+``--corpus``, and document years come only from ``report --metadata``.
+The random starts' noise, the threshold rule's divisor and slope
+mode's plateau tolerance are constants: no flag or config field sets them.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ def cmd_sweep(args) -> None:
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
         rng_seed=args.seed,
-        init_noise_scale=args.noise_scale,
     )
     corpus = load_corpus(args.corpus)
     k_top = max(args.ladder) if args.ladder else args.kmax
@@ -97,17 +98,13 @@ def cmd_sweep(args) -> None:
 
 def cmd_select(args) -> None:
     sweep = load_sweep(args.sweep)
-    total_tokens = num_docs = None
-    if args.corpus is not None:
-        corpus = load_corpus(args.corpus)
-        total_tokens, num_docs = corpus.total_tokens, corpus.num_docs
-        for e in sweep.entries:
-            if e.dimension != e.num_comps * corpus.num_words:
-                raise ValueError(f"sweep row K={e.num_comps} has D_K = {e.dimension}, not "
-                                 f"K x B = {e.num_comps * corpus.num_words} for this corpus")
-    report = select_from_sweep(sweep, args.mode, total_tokens=total_tokens,
-                               num_docs=num_docs, multiplier=args.multiplier,
-                               plateau_tol=args.plateau_tol,
+    corpus = load_corpus(args.corpus)
+    for e in sweep.entries:
+        if e.dimension != e.num_comps * corpus.num_words:
+            raise ValueError(f"sweep row K={e.num_comps} has D_K = {e.dimension}, not "
+                             f"K x B = {e.num_comps * corpus.num_words} for this corpus")
+    report = select_from_sweep(sweep, args.mode, total_tokens=corpus.total_tokens,
+                               num_docs=corpus.num_docs, multiplier=args.multiplier,
                                slope_shape=args.slope_shape)
     atomic_write_text(args.out, dumps_selection_report(report))
     lam = "" if report.lambda_min is None else f", lambda_min={report.lambda_min:.6g}"
@@ -249,14 +246,15 @@ def load_synth_config(path) -> dict:
         raise ConfigError("expected an object of EmConfig overrides", field="em")
     if "rng_seed" in em_overrides:
         raise ConfigError("not a field here: each entry of seeds sets it", field="em.rng_seed")
-    for known in fields(EmConfig):
-        if known.name in em_overrides:
-            em_overrides[known.name] = _require(em_overrides, known.name,
-                                                type(known.default), where="em.")
+    em_kinds = {known.name: type(known.default) for known in fields(EmConfig)}
+    if unknown := [key for key in em_overrides if key not in em_kinds]:
+        raise ConfigError("unknown field", field="em." + unknown[0])
+    em_values = {key: _require(em_overrides, key, em_kinds[key], where="em.")
+                 for key in em_overrides}
     try:
-        out["em"] = EmConfig(**em_overrides)
-    except TypeError as exc:
-        raise ConfigError(str(exc), field="em") from exc
+        out["em"] = EmConfig(**em_values)
+    except ConfigError as exc:  # EmConfig names its bare field
+        raise ConfigError(exc.reason, field="em." + exc.field) from None
     modes = config.get("mode", "slope")
     modes = [modes] if isinstance(modes, str) else modes
     if (not isinstance(modes, list) or not modes or not all(m in MODES for m in modes)
@@ -382,22 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "wherever it stops (default %(default)s)")
     p.add_argument("--rel-tol", type=float, default=EmConfig.rel_tol,
                    help="relative loglik stall tolerance (default %(default)s)")
-    p.add_argument("--noise-scale", type=float, default=EmConfig.init_noise_scale,
-                   help="lognormal sigma of random-start densities (default %(default)s)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("select", help="pick the component count from a sweep CSV")
     p.add_argument("sweep", help="sweep CSV from the sweep command")
     p.add_argument("--out", required=True, help="output report JSON path")
     p.add_argument("--mode", choices=MODES, default="slope")
-    p.add_argument("--corpus", default=None,
-                   help="the swept corpus: its token and document counts price every "
-                        "penalty but slope's dimension shape, and each D_K must be "
-                        "K times its word count")
+    p.add_argument("--corpus", required=True,
+                   help="the swept corpus: its token and document counts price the "
+                        "penalty, and each D_K must be K times its word count")
     p.add_argument("--multiplier", type=float, default=1.0,
                    help="penalty multiplier for theoretical mode")
-    p.add_argument("--plateau-tol", type=float, default=0.05,
-                   help="relative slope-change tolerance (default 0.05)")
     p.add_argument("--slope-shape", choices=SLOPE_SHAPES, default="dimension",
                    help="penalty shape used by slope mode")
     p.set_defaults(func=cmd_select)

@@ -37,8 +37,9 @@ them by 2**64 first (_m_step_block).
 Two annihilation rules exist:
 
 - "threshold" (default): before and after each long run, _long_phase
-  deletes every component below its weight threshold and runs EM afresh
-  from the renormalized survivors, until a run stops with none to delete.
+  deletes every component of weight below 1/(_ANNIHILATION_DIVISOR * K)
+  and runs EM afresh from the renormalized survivors, until a run stops
+  with none to delete.
 - "mml": the minimum-message-length weight update of Figueiredo & Jain
   (2002, IEEE TPAMI 24(3), eq. 17) inside every M-step,
   pi_k proportional to max(0, n_k - N/2), where n_k is the component's
@@ -56,15 +57,16 @@ loglik - (N/2) sum_k log pi_k, between annihilation events; the
 log-likelihood itself can fall, and the loop stops when the objective
 stalls.
 
-A fit's run log (dumps_run_log) is a strict-JSON docmix document, so
-EmConfig admits only finite values.
+The start noise (_INIT_NOISE_SCALE) and the divisor are constants, not
+EmConfig fields: no caller sets another. A fit's run log (dumps_run_log)
+is a strict-JSON docmix document, so EmConfig admits only finite values.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,9 +98,7 @@ class EmConfig:
     short_iters: int = 10
     max_iters: int = 500
     rel_tol: float = 1e-6
-    annihilation_divisor: float = 100.0
     rng_seed: int = 0
-    init_noise_scale: float = 1.0
     annihilation: str = "threshold"
 
     def __post_init__(self):
@@ -107,12 +107,8 @@ class EmConfig:
                 raise ConfigError("must be >= 1", field=name)
         if not 0 < self.rel_tol < math.inf:
             raise ConfigError("must be finite and > 0", field="rel_tol")
-        if not 1 < self.annihilation_divisor < math.inf:
-            raise ConfigError("must be finite and > 1", field="annihilation_divisor")
         if self.rng_seed < 0:
             raise ConfigError("must be >= 0", field="rng_seed")
-        if not 0 <= self.init_noise_scale < math.inf:
-            raise ConfigError("must be finite and >= 0", field="init_noise_scale")
         if self.annihilation not in ANNIHILATION_RULES:
             raise ConfigError(f"must be one of {', '.join(ANNIHILATION_RULES)}",
                               field="annihilation")
@@ -373,8 +369,12 @@ def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
     return fit
 
 
-def _random_init_block(corpus: Corpus, num_comps: int, seeds, epsilon: float,
-                       noise_scale: float) -> tuple[np.ndarray, np.ndarray]:
+# Lognormal sigma of the noise that tilts each random start's densities.
+_INIT_NOISE_SCALE = 1.0
+
+
+def _random_init_block(corpus: Corpus, num_comps: int, seeds,
+                       epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """random_init for each seed, as a block: weights (S, K), log densities (S*K, B)."""
     num_words = corpus.num_words
     empirical = corpus.word_totals() / corpus.total_tokens
@@ -385,16 +385,16 @@ def _random_init_block(corpus: Corpus, num_comps: int, seeds, epsilon: float,
         draws = rng.exponential(size=num_comps)
         pi[s] = draws / draws.sum()
         noise[s * num_comps:(s + 1) * num_comps] = rng.standard_normal((num_comps, num_words))
-    log_f = np.log(_water_fill_rows(empirical * np.exp(noise_scale * noise), epsilon))
+    log_f = np.log(_water_fill_rows(empirical * np.exp(_INIT_NOISE_SCALE * noise), epsilon))
     _validate_block(pi, log_f, epsilon)
     return pi, log_f
 
 
-def random_init(corpus: Corpus, num_comps: int, seed, epsilon: float,
-                noise_scale: float = 1.0) -> MixtureModel:
+def random_init(corpus: Corpus, num_comps: int, seed, epsilon: float) -> MixtureModel:
     """Random start: uniform-simplex weights, empirical word law times
-    lognormal noise per component, then water-filled to the floor."""
-    pi, log_f = _random_init_block(corpus, num_comps, [seed], epsilon, noise_scale)
+    lognormal noise of sigma _INIT_NOISE_SCALE per component, then
+    water-filled to the floor."""
+    pi, log_f = _random_init_block(corpus, num_comps, [seed], epsilon)
     return MixtureModel(pi=pi[0], log_f=log_f, epsilon=epsilon)
 
 
@@ -458,8 +458,7 @@ def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
         # A fixed number of iterations: rel_tol 0 never stops a start early,
         # not even one that stalls at eta == 0.
         try:
-            pi, log_f = _random_init_block(corpus, k, seeds, epsilon,
-                                           config.init_noise_scale)
+            pi, log_f = _random_init_block(corpus, k, seeds, epsilon)
             return _em_loop(corpus, pi, log_f, epsilon, seeds, config.short_iters,
                             0.0, weight_offset)
         except (DocmixError, ValueError):
@@ -484,17 +483,21 @@ def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
     return [fit for seeds in groups for fit in run_group(seeds)]
 
 
+# The threshold rule deletes each component of weight below 1/(this * K).
+_ANNIHILATION_DIVISOR = 100.0
+
+
 def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult:
     """Continue ``start`` with full EM, deleting weak components between
     runs, as Figueiredo & Jain (2002, §V) do.
 
     Each pass tests start.model, then the model the last run stopped at,
-    against 1/(annihilation_divisor * K), or 0 under MML. Once a test
+    against 1/(_ANNIHILATION_DIVISOR * K), or 0 under MML. Once a test
     removes nothing the last run is the fit. Otherwise the weak components
     go, the survivors are renormalized, and _em_loop runs afresh from them.
     The fit's trace and events are start's, then each run's.
     """
-    divisor = config.annihilation_divisor if config.annihilation == "threshold" else math.inf
+    divisor = _ANNIHILATION_DIVISOR if config.annihilation == "threshold" else math.inf
     trace, events = list(start.loglik_trace), list(start.annihilation_events)
     pi, log_f, epsilon = start.model.pi, start.model.log_f, start.model.epsilon
     skip = 1  # a run from start.model first rescores it, repeating trace[-1]
@@ -516,17 +519,15 @@ def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult
         pi, log_f = fit.model.pi, fit.model.log_f
 
 
-def _config_record(config: EmConfig) -> dict:
-    """asdict(config) without the annihilation field when it holds the
-    default rule, so run logs of default fits stay byte-identical to those
-    written by versions that had no such field."""
-    record = asdict(config)
-    if record["annihilation"] == "threshold":
-        del record["annihilation"]
-    return record
-
-
 def dumps_run_log(fit: FitResult, config: EmConfig) -> str:
+    # The two constants keep their keys and positions in the record, and the
+    # rule is named only when not the default, so run logs stay byte-stable.
+    record = {"n_starts": config.n_starts, "short_iters": config.short_iters,
+              "max_iters": config.max_iters, "rel_tol": config.rel_tol,
+              "annihilation_divisor": _ANNIHILATION_DIVISOR, "rng_seed": config.rng_seed,
+              "init_noise_scale": _INIT_NOISE_SCALE}
+    if config.annihilation != "threshold":
+        record["annihilation"] = config.annihilation
     return dumps_document("runlog", {
         "k_initial": fit.k_initial,
         "k_final": fit.k_final,
@@ -535,5 +536,5 @@ def dumps_run_log(fit: FitResult, config: EmConfig) -> str:
         "eta_effective": fit.eta_effective,
         "annihilation_events": [[i, list(removed)] for i, removed in fit.annihilation_events],
         "loglik_trace": fit.loglik_trace,
-        "config": _config_record(config),
+        "config": record,
     })

@@ -59,3 +59,4 @@ class ConfigError(DocmixError, ValueError):
     def __init__(self, message: str, *, field: str):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
+        self.reason = message

@@ -10,7 +10,10 @@ multiplier * (rate * K * B + L log K + K log 2) with a per-dimension
 rate that grows like log n, its varying-vocabulary extension, the
 classical AIC/BIC baselines, and the slope-calibrated form
 2 * lambda_min * K * B where lambda_min is read off the asymptotically
-linear tail of contrast versus dimension (slope heuristics).
+linear tail of contrast versus dimension (slope heuristics), the widest
+trailing window whose slope moved less than the fixed _PLATEAU_TOL.
+select_from_sweep takes the swept corpus's token and document counts in
+every mode.
 """
 
 from __future__ import annotations
@@ -146,6 +149,10 @@ class SelectionReport:
     diagnostics: SlopeDiagnostics | None = None
 
 
+# Relative slope change below which slope_heuristics calls a window stable.
+_PLATEAU_TOL = 0.05
+
+
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     denom = float(np.dot(xc, xc))
@@ -154,19 +161,17 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(xc, y - y.mean()) / denom)
 
 
-def slope_heuristics(points, plateau_tol: float = 0.05) -> tuple[float, SlopeDiagnostics]:
+def slope_heuristics(points) -> tuple[float, SlopeDiagnostics]:
     """Read the contrast-versus-dimension slope off its linear tail.
 
     Fits ordinary least squares over every trailing window of the
     w largest-dimension points, w from 3 up to all points, and picks
-    the largest w whose slope moved less than plateau_tol relatively
+    the largest w whose slope moved less than _PLATEAU_TOL relatively
     from the (w-1)-window slope. When no window is that stable the one
     with the smallest relative change wins (larger w on ties) and the
     diagnostics say stable=False. A window whose change is NaN, because
     it or the window before it spans a single dimension, is never chosen.
     """
-    if not (math.isfinite(plateau_tol) and plateau_tol > 0):
-        raise ValueError(f"plateau_tol must be finite and > 0, got {plateau_tol}")
     pts = sorted(points, key=lambda p: (p[0], p[1]))
     dims = np.asarray([p[0] for p in pts], dtype=np.float64)
     contrasts = np.asarray([p[1] for p in pts], dtype=np.float64)
@@ -189,7 +194,7 @@ def slope_heuristics(points, plateau_tol: float = 0.05) -> tuple[float, SlopeDia
     candidates = [i for i in range(1, len(sizes)) if not math.isnan(rel_changes[i])]
     if not candidates:
         raise DegenerateRegressionError("no window has a defined slope change")
-    stable_sizes = [sizes[i] for i in candidates if rel_changes[i] < plateau_tol]
+    stable_sizes = [sizes[i] for i in candidates if rel_changes[i] < _PLATEAU_TOL]
     if stable_sizes:
         chosen = max(stable_sizes)
         stable = True
@@ -238,12 +243,11 @@ def select_model(sweep: SweepResult, penalty, mode: str = "custom",
 
 
 def select_from_sweep(sweep: SweepResult, mode: str = "slope", *,
-                      total_tokens: int | None = None,
-                      num_docs: int | None = None,
+                      total_tokens: int, num_docs: int,
                       multiplier: float = 1.0,
-                      plateau_tol: float = 0.05,
                       slope_shape: str = "dimension") -> SelectionReport:
-    """Build the per-K penalty for ``mode`` and run select_model.
+    """Build the per-K penalty for ``mode`` and run select_model, for a
+    sweep of a corpus of total_tokens tokens in num_docs documents.
 
     Modes: "slope" calibrates lambda_min by slope heuristics and uses
     penalty(K) = 2 lambda_min K B (slope_shape="dimension") or the full
@@ -262,11 +266,9 @@ def select_from_sweep(sweep: SweepResult, mode: str = "slope", *,
     shape = slope_shape if mode == "slope" else mode
     lam = diag = None
     if mode == "slope":
-        lam, diag = slope_heuristics(sweep.points(), plateau_tol)
+        lam, diag = slope_heuristics(sweep.points())
         multiplier = 2.0 * lam
     if shape == "theoretical":
-        if total_tokens is None or num_docs is None:
-            raise ValueError("the theoretical penalty needs total_tokens and num_docs")
         if mode == "slope":
             multiplier = 2.0 * lam / penalty_rate(total_tokens)
         for e in sweep.entries:
@@ -278,8 +280,6 @@ def select_from_sweep(sweep: SweepResult, mode: str = "slope", *,
     elif shape == "dimension":
         penalty = [2.0 * lam * e.dimension for e in sweep.entries]
     else:
-        if total_tokens is None:
-            raise ValueError(f"{mode} needs total_tokens")
         column = 0 if mode == "aic" else 1
         penalty = [aic_bic(e.min_contrast, e.dimension, total_tokens)[column] - e.min_contrast
                    for e in sweep.entries]

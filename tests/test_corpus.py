@@ -349,7 +349,7 @@ class TestPersistence:
         # five letters for five words: the string would load as the vocabulary
         pytest.param(lambda blob: blob.__setitem__("words", "abcde"), id="string-vocabulary"),
         pytest.param(lambda blob: blob.__setitem__("doc_years", [[1, 1990], [1, 1991]]),
-                     id="repeated-year-doc-id"),
+                     id="non-null-doc-years"),
         pytest.param(lambda blob: blob.__setitem__("dropped_doc_ids", [9, 9]),
                      id="repeated-dropped-doc-id"),
         pytest.param(lambda blob: blob.__setitem__("dropped_doc_ids", [1]),

@@ -1,6 +1,5 @@
 import heapq
 import importlib.util
-import json
 import math
 import os
 import re
@@ -355,9 +354,10 @@ class TestShortEm:
         assert fit.loglik_trace[2:] == [fit.loglik_trace[1]] * 6
         assert len(fit.loglik_trace) == 6 + 2
 
-    def test_init_respects_floor(self, tiny_corpus):
+    def test_init_respects_floor(self, tiny_corpus, monkeypatch):
+        monkeypatch.setattr(em, "_INIT_NOISE_SCALE", 3.0)
         eps = default_floor(tiny_corpus.total_tokens)
-        init = random_init(tiny_corpus, 3, 9, eps, noise_scale=3.0)
+        init = random_init(tiny_corpus, 3, 9, eps)
         assert np.all(init.densities >= eps - FLOOR_SLACK)
         np.testing.assert_allclose(init.densities.sum(axis=1), 1.0, atol=1e-9)
 
@@ -370,7 +370,7 @@ class TestThresholdRemoval:
                                      epsilon=1e-3)
         _, loglik = e_step(corpus, model)
         start = em.FitResult(model, [loglik], [], 0, False, math.inf)
-        return em._long_phase(corpus, start, EmConfig(max_iters=5, annihilation_divisor=100.0))
+        return em._long_phase(corpus, start, EmConfig(max_iters=5))
 
     def test_removes_all_below_in_one_sweep(self):
         fit = self.run([0.5, 0.4985, 0.0005, 0.001])
@@ -393,12 +393,13 @@ class TestRobustEm:
         assert fit.k_final == 1
         assert fit.annihilation_events == []
 
-    def test_annihilation_event_recorded(self):
+    def test_annihilation_event_recorded(self, monkeypatch):
+        monkeypatch.setattr(em, "_INIT_NOISE_SCALE", 4.0)
         mix = dm.planted_mixture(2, 12, seed=np.random.SeedSequence((1, 21)),
                                  min_pairwise_kl=1.0)
         planted = dm.generate_corpus(mix, 12, (20, 60),
                                      seed=np.random.SeedSequence((1, 22)))
-        config = EmConfig(rng_seed=1, init_noise_scale=4.0, n_starts=5)
+        config = EmConfig(rng_seed=1, n_starts=5)
         fit = robust_em(planted.corpus, 6, config)
         assert fit.k_final == 5
         assert fit.k_initial == 6
@@ -406,27 +407,27 @@ class TestRobustEm:
         assert fit.converged
         fit.model.validate()
 
-    def test_event_index_is_post_short_phase(self):
+    def test_event_index_is_post_short_phase(self, monkeypatch):
         # the first sweep happens on the multistart winner, whose trace
         # holds short_iters + 1 values
+        monkeypatch.setattr(em, "_INIT_NOISE_SCALE", 4.0)
         mix = dm.planted_mixture(2, 12, seed=np.random.SeedSequence((1, 21)),
                                  min_pairwise_kl=1.0)
         planted = dm.generate_corpus(mix, 12, (20, 60),
                                      seed=np.random.SeedSequence((1, 22)))
-        config = EmConfig(rng_seed=1, init_noise_scale=4.0, n_starts=5,
-                          short_iters=7)
+        config = EmConfig(rng_seed=1, n_starts=5, short_iters=7)
         fit = robust_em(planted.corpus, 6, config)
         assert fit.annihilation_events == [(8, [4])]
 
     def test_long_phase_never_scores_a_pruned_winner(self, monkeypatch):
         # the winner holds a weak component, so the long phase prunes it
         # before its first E-step: the 6-component winner is never rescored
+        monkeypatch.setattr(em, "_INIT_NOISE_SCALE", 4.0)
         mix = dm.planted_mixture(2, 12, seed=np.random.SeedSequence((1, 21)),
                                  min_pairwise_kl=1.0)
         planted = dm.generate_corpus(mix, 12, (20, 60),
                                      seed=np.random.SeedSequence((1, 22)))
-        config = EmConfig(rng_seed=1, init_noise_scale=4.0, n_starts=5,
-                          short_iters=7)
+        config = EmConfig(rng_seed=1, n_starts=5, short_iters=7)
         widths = []
         block_e_step = em._e_step_block
 
@@ -441,28 +442,29 @@ class TestRobustEm:
         assert widths[8:] == [5] * (len(fit.loglik_trace) - 8)
 
     @staticmethod
-    def removal_after_a_run(**overrides):
+    def removal_after_a_run(monkeypatch, **overrides):
+        monkeypatch.setattr(em, "_INIT_NOISE_SCALE", 4.0)
+        monkeypatch.setattr(em, "_ANNIHILATION_DIVISOR", 10.0)
         mix = dm.planted_mixture(3, 12, seed=np.random.SeedSequence((45, 21)))
         planted = dm.generate_corpus(mix, 27, (5, 60),
                                      seed=np.random.SeedSequence((45, 22)))
-        config = EmConfig(rng_seed=45, init_noise_scale=4.0, n_starts=5,
-                          annihilation_divisor=10.0, **overrides)
+        config = EmConfig(rng_seed=45, n_starts=5, **overrides)
         # B=12 words identify at most 6 components
         with pytest.warns(mixture.IdentifiabilityWarning):
             return robust_em(planted.corpus, 10, config)
 
-    def test_removal_after_a_converged_run(self):
+    def test_removal_after_a_converged_run(self, monkeypatch):
         # the long run converges with component 0 under the threshold: it
         # is removed there and the run goes on from the seven survivors
-        fit = self.removal_after_a_run()
+        fit = self.removal_after_a_run(monkeypatch)
         assert fit.annihilation_events == [(11, [6, 9]), (16, [0])]
         assert fit.k_final == 7
         assert len(fit.loglik_trace) == 19
         assert fit.converged
         fit.model.validate()
 
-    def test_max_iters_counts_from_the_last_removal(self):
-        fit = self.removal_after_a_run(max_iters=1)
+    def test_max_iters_counts_from_the_last_removal(self, monkeypatch):
+        fit = self.removal_after_a_run(monkeypatch, max_iters=1)
         assert fit.annihilation_events == [(11, [6, 9]), (13, [0])]
         # one M-step after each removal, and the run ends unconverged
         # where a check removes nothing
@@ -646,13 +648,12 @@ class TestMmlAnnihilation:
         assert runs[0].annihilation_events
 
     def test_run_log_names_the_rule_only_when_not_default(self):
+        # byte for byte, constants included: benches/golden.json hashes run logs
         fit = robust_em(planted_corpus(0), 3, EmConfig(rng_seed=0))
-        default = json.loads(dumps_run_log(fit, EmConfig()))["config"]
-        assert list(default) == ["n_starts", "short_iters", "max_iters", "rel_tol",
-                                 "annihilation_divisor", "rng_seed",
-                                 "init_noise_scale"]
-        mml = json.loads(dumps_run_log(fit, self.MML))["config"]
-        assert mml == {**default, "annihilation": "mml"}
+        record = ('"config":{"n_starts":15,"short_iters":10,"max_iters":500,"rel_tol":1e-06,'
+                  '"annihilation_divisor":100.0,"rng_seed":0,"init_noise_scale":1.0')
+        assert dumps_run_log(fit, EmConfig()).endswith(record + "}}")
+        assert dumps_run_log(fit, self.MML).endswith(record + ',"annihilation":"mml"}}')
 
 
 def short_phase(corpus, k_max, config, threads=1):
@@ -757,7 +758,7 @@ class TestBlockStop:
         corpus = random_corpus(60, 24, 80, seed=5)
         eps = default_floor(corpus.total_tokens)
         seeds = [40, 42]
-        pi, log_f = em._random_init_block(corpus, 3, seeds, eps, 1.0)
+        pi, log_f = em._random_init_block(corpus, 3, seeds, eps)
         alone = [em._em_loop(corpus, pi[s:s + 1], log_f[3 * s:3 * s + 3], eps,
                              [seed], 500, 1e-6)[0]
                  for s, seed in enumerate(seeds)]
@@ -774,7 +775,7 @@ class TestBlockStop:
     def test_weight_offset_takes_one_model(self):
         corpus = random_corpus(60, 24, 80, seed=5)
         eps = default_floor(corpus.total_tokens)
-        pi, log_f = em._random_init_block(corpus, 3, [40, 42], eps, 1.0)
+        pi, log_f = em._random_init_block(corpus, 3, [40, 42], eps)
         with pytest.raises(ValueError, match="one model"):
             em._em_loop(corpus, pi, log_f, eps, [40, 42], 10, 0.0, 11.5)
 
@@ -786,11 +787,7 @@ class TestConfig:
         ("max_iters", 0),
         ("rel_tol", 0.0),
         ("rel_tol", math.inf),
-        ("annihilation_divisor", 1.0),
-        ("annihilation_divisor", math.inf),
         ("rng_seed", -1),
-        ("init_noise_scale", -0.5),
-        ("init_noise_scale", math.inf),
         ("annihilation", "bogus"),
     ])
     def test_rejects_bad_values(self, field, value):
