@@ -6,9 +6,10 @@ written atomically (temp file + rename). Each subcommand is one
 ``cmd_<name>(args)``, looked up when ``build_parser`` runs; the parser
 owns every flag rule. Each input has one way in: every fit's floor is
 1/n for n tokens, ``select`` reads n and L only from its required
-``--corpus``, and document years come only from ``report --metadata``.
-The random starts' noise, the threshold rule's divisor and slope
-mode's plateau tolerance are constants: no flag or config field sets them.
+``--corpus`` and its rule only from ``--mode``, which names the whole
+penalty, and document years come only from ``report --metadata``. The
+random starts' noise, the threshold rule's divisor and slope mode's
+plateau tolerance are constants: no flag or config field sets them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
 from .mixture import load_model, map_assign, save_model
 from .selection import (
     MODES,
-    SLOPE_SHAPES,
     derive_seed,
     dumps_selection_report,
     load_sweep,
@@ -104,8 +104,7 @@ def cmd_select(args) -> None:
             raise ValueError(f"sweep row K={e.num_comps} has D_K = {e.dimension}, not "
                              f"K x B = {e.num_comps * corpus.num_words} for this corpus")
     report = select_from_sweep(sweep, args.mode, total_tokens=corpus.total_tokens,
-                               num_docs=corpus.num_docs, multiplier=args.multiplier,
-                               slope_shape=args.slope_shape)
+                               num_docs=corpus.num_docs)
     atomic_write_text(args.out, dumps_selection_report(report))
     lam = "" if report.lambda_min is None else f", lambda_min={report.lambda_min:.6g}"
     print(f"K_hat={report.k_hat} (mode={report.mode}{lam})")
@@ -385,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="pick the component count from a sweep CSV")
     p.add_argument("sweep", help="sweep CSV from the sweep command")
     p.add_argument("--out", required=True, help="output report JSON path")
-    p.add_argument("--mode", choices=MODES, default="slope")
+    p.add_argument("--mode", choices=MODES, default="slope",
+                   help="the whole penalty: slope 2 lambda_min K B, lambda_min by slope "
+                        "heuristics; slope-theoretical the risk bound scaled the same way; "
+                        "theoretical the risk bound rate(n) K B + L log K + K log 2; "
+                        "aic K B; bic K B log(n)/2 (default %(default)s)")
     p.add_argument("--corpus", required=True,
                    help="the swept corpus: its token and document counts price the "
                         "penalty, and each D_K must be K times its word count")
-    p.add_argument("--multiplier", type=float, default=1.0,
-                   help="penalty multiplier for theoretical mode")
-    p.add_argument("--slope-shape", choices=SLOPE_SHAPES, default="dimension",
-                   help="penalty shape used by slope mode")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("report", help="top words, assignments, and yearly evolution")

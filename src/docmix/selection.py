@@ -5,15 +5,16 @@ realized component count K, the model dimension K*B and the best
 contrast (negative log-likelihood) achieved. Selection minimizes
 contrast(K) + penalty(K) over the sweep.
 
-Penalties come in four flavors: the risk-bound shape
-multiplier * (rate * K * B + L log K + K log 2) with a per-dimension
-rate that grows like log n, its varying-vocabulary extension, the
-classical AIC/BIC baselines, and the slope-calibrated form
-2 * lambda_min * K * B where lambda_min is read off the asymptotically
-linear tail of contrast versus dimension (slope heuristics), the widest
-trailing window whose slope moved less than the fixed _PLATEAU_TOL.
-select_from_sweep takes the swept corpus's token and document counts in
-every mode.
+Each mode in MODES names a whole penalty: "slope" is 2 * lambda_min * K * B,
+where lambda_min is read off the asymptotically linear tail of contrast
+versus dimension (slope heuristics), the widest trailing window whose
+slope moved less than the fixed _PLATEAU_TOL; "theoretical" is the
+risk-bound shape rate * K * B + L log K + K log 2 with a per-dimension
+rate that grows like log n; "slope-theoretical" is that shape with its
+constant calibrated by slope heuristics; "aic" and "bic" are the
+classical baselines. varying_vocab_penalty extends the risk bound to a
+vocabulary selected jointly with K. select_from_sweep takes the swept
+corpus's token and document counts in every mode.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from .errors import (
 
 SWEEP_CSV_HEADER = ["K", "D_K", "min_contrast"]
 
-# Selection modes, and the penalty shapes slope mode can calibrate.
-MODES = ("slope", "theoretical", "aic", "bic")
-SLOPE_SHAPES = ("dimension", "theoretical")
+# Selection modes; each names its whole penalty.
+MODES = ("slope", "slope-theoretical", "theoretical", "aic", "bic")
 
 
 def penalty_rate(total_tokens: int) -> float:
@@ -243,33 +243,27 @@ def select_model(sweep: SweepResult, penalty, mode: str = "custom",
 
 
 def select_from_sweep(sweep: SweepResult, mode: str = "slope", *,
-                      total_tokens: int, num_docs: int,
-                      multiplier: float = 1.0,
-                      slope_shape: str = "dimension") -> SelectionReport:
+                      total_tokens: int, num_docs: int) -> SelectionReport:
     """Build the per-K penalty for ``mode`` and run select_model, for a
     sweep of a corpus of total_tokens tokens in num_docs documents.
 
     Modes: "slope" calibrates lambda_min by slope heuristics and uses
-    penalty(K) = 2 lambda_min K B (slope_shape="dimension") or the full
-    risk-bound shape rescaled so its leading term matches
-    (slope_shape="theoretical"); "theoretical" uses the risk bound with
-    the given multiplier; "aic" and "bic" use the classical baselines.
+    penalty(K) = 2 lambda_min K B; "slope-theoretical" uses the risk
+    bound rescaled so its leading term matches that, a multiplier of
+    2 lambda_min / penalty_rate(n); "theoretical" uses the risk bound
+    with multiplier 1; "aic" and "bic" use the classical baselines.
     """
     if len(sweep) == 0:
         raise ValueError("sweep is empty")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "slope" and slope_shape not in SLOPE_SHAPES:
-        raise ValueError(f"unknown slope_shape {slope_shape!r}")
-    if mode == "theoretical" and multiplier <= 0:  # NaN falls through to the criterion check
-        raise ValueError(f"multiplier must be > 0, got {multiplier}")
-    shape = slope_shape if mode == "slope" else mode
     lam = diag = None
-    if mode == "slope":
+    multiplier = 1.0
+    if mode in ("slope", "slope-theoretical"):
         lam, diag = slope_heuristics(sweep.points())
         multiplier = 2.0 * lam
-    if shape == "theoretical":
-        if mode == "slope":
+    if mode in ("theoretical", "slope-theoretical"):
+        if mode == "slope-theoretical":
             multiplier = 2.0 * lam / penalty_rate(total_tokens)
         for e in sweep.entries:
             if e.dimension % e.num_comps:
@@ -277,7 +271,7 @@ def select_from_sweep(sweep: SweepResult, mode: str = "slope", *,
         penalty = [theoretical_penalty(e.num_comps, num_docs, total_tokens,
                                        e.dimension // e.num_comps, multiplier)
                    for e in sweep.entries]
-    elif shape == "dimension":
+    elif mode == "slope":
         penalty = [2.0 * lam * e.dimension for e in sweep.entries]
     else:
         column = 0 if mode == "aic" else 1
@@ -350,19 +344,25 @@ def sweep_from_csv(text: str) -> SweepResult:
             f"expected header {','.join(SWEEP_CSV_HEADER)!r}, got {header!r}"
         )
     entries = []
+    line_of: dict[int, int] = {}  # K -> the line it was read from
     for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 3:
             raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
         try:
-            entries.append(SweepEntry(
+            entry = SweepEntry(
                 num_comps=int(row[0]),
                 dimension=int(row[1]),
                 min_contrast=float(row[2]),
-            ))
+            )
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
+        if entry.num_comps in line_of:
+            raise ParseError(f"K={entry.num_comps} repeats line {line_of[entry.num_comps]}",
+                             line=lineno)
+        line_of[entry.num_comps] = lineno
+        entries.append(entry)
     entries.sort(key=lambda e: e.num_comps)
     return SweepResult(entries=tuple(entries))
 

@@ -396,12 +396,13 @@ class TestSweepSelect:
         assert "lambda_min=nan" not in capsys.readouterr().out
 
     def test_non_finite_criterion_is_data_error(self, tmp_path, capsys):
+        # rate * K * B overflows a float at K = 10**306, though K and D_K are exact ints
+        k = 10**306
         sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
-        sweep_path.write_text("K,D_K,min_contrast\n1,20,1000\n2,40,900\n3,60,850\n")
+        sweep_path.write_text(f"K,D_K,min_contrast\n1,20,1000\n{k},{20 * k},900\n")
         assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode",
-                        "theoretical", "--corpus", str(corpus_file(tmp_path, 20)),
-                        "--multiplier", "nan"]) == 2
-        assert capsys.readouterr().err == "error: criterion for K=1 is not finite: nan\n"
+                        "theoretical", "--corpus", str(corpus_file(tmp_path, 20))]) == 2
+        assert capsys.readouterr().err == f"error: criterion for K={k} is not finite: inf\n"
         assert not out.exists()
 
     def test_dimension_not_multiple_of_k_is_data_error(self, tmp_path, capsys):
@@ -438,17 +439,17 @@ class TestSweepSelect:
             "error: doc_years must be null: give years to report --metadata\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--mode", "theoretical", "--multiplier", "-1"], "multiplier must be > 0, got -1.0"),
-        (["--mode", "theoretical", "--multiplier", "0"], "multiplier must be > 0, got 0.0"),
-    ])
-    def test_bad_penalty_flag_is_data_error(self, tmp_path, capsys, flags, message):
+    @pytest.mark.parametrize("flags", [["--slope-shape", "theoretical"],
+                                       ["--multiplier", "2"]])
+    def test_penalty_knob_flags_are_gone(self, tmp_path, capsys, flags):
+        # --mode names the whole penalty; no second flag reshapes or rescales it
         sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
         sweep_path.write_text("K,D_K,min_contrast\n" + "".join(
             f"{k},{20 * k},{1000 - 50 * k}\n" for k in range(1, 7)))
         assert cli.run(["select", str(sweep_path), "--out", str(out),
-                        "--corpus", str(corpus_file(tmp_path, 20)), *flags]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+                        "--corpus", str(corpus_file(tmp_path, 20)), *flags]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {' '.join(flags)}\n")
         assert not out.exists()
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
@@ -750,6 +751,14 @@ class TestSynth:
         for mode in MODES:
             assert summary(mode, mode) == [r for r in rows if r[1] == mode]
 
+    def test_slope_theoretical_mode(self, tmp_path):
+        path = synth_config(tmp_path, mode="slope-theoretical")
+        assert cli.run(["synth", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "summary.csv") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [(r[0], r[1]) for r in rows] == [("0", "slope-theoretical"),
+                                                ("1", "slope-theoretical")]
+
     @pytest.mark.parametrize("mode", ["nope", [], ["slope", "slope"], ["slope", 3],
                                       [["slope"]], {}],
                              ids=["unknown", "empty", "repeated", "number", "nested", "object"])
@@ -978,3 +987,11 @@ def test_documented_flags_exist():
     known = {option for parser in subcommands.choices.values()
              for action in parser._actions for option in action.option_strings}
     assert "--corpus" in named and sorted(named - known) == []
+
+
+def test_documented_modes_match():
+    # README's "Selection modes" bullets name the modes select accepts, in order
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+        [bullets] = re.findall(r"^Selection modes:\n\n(.*?)\n\n", handle.read(), re.M | re.S)
+    assert tuple(re.findall(r"^- `([^`]+)`", bullets, re.M)) == MODES

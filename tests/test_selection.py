@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -250,17 +251,6 @@ class TestSelectFromSweep:
         assert aic_report.k_hat == 1
         assert bic_report.k_hat == 1
 
-    @pytest.mark.parametrize("mode,flag,value", [
-        ("theoretical", "multiplier", 0.0),
-        ("theoretical", "multiplier", -1.0),
-    ])
-    def test_rejects_bad_penalty_flag(self, mode, flag, value):
-        # a multiplier <= 0 would otherwise select the largest K
-        with pytest.raises(ValueError) as err:
-            select_from_sweep(self.synthetic(), mode, total_tokens=50_000,
-                              num_docs=400, **{flag: value})
-        assert str(err.value) == f"{flag} must be > 0, got {value}"
-
     def test_theoretical_mode_needs_counts(self):
         sweep = self.synthetic()
         with pytest.raises(TypeError, match="num_docs"):
@@ -276,15 +266,6 @@ class TestSelectFromSweep:
         with pytest.raises(ValueError):
             select_from_sweep(sweep, "magic", total_tokens=50_000, num_docs=400)
 
-    def test_unknown_slope_shape_rejected_before_calibration(self):
-        short = self.synthetic(num=3)  # too few dimensions for slope heuristics
-        with pytest.raises(ValueError, match="unknown slope_shape 'magic'"):
-            select_from_sweep(short, "slope", total_tokens=50_000, num_docs=400,
-                              slope_shape="magic")
-        # only slope mode reads the shape
-        assert select_from_sweep(short, "bic", total_tokens=50_000, num_docs=400,
-                                 slope_shape="magic").mode == "bic"
-
     def kinked(self):
         # contrast falls steeply up to K=3, then by 4 per dimension
         return SweepResult(entries=tuple(
@@ -295,8 +276,9 @@ class TestSelectFromSweep:
 
     def test_slope_theoretical_shape(self):
         sweep, n, num_docs = self.kinked(), 50_000, 400
-        report = select_from_sweep(sweep, "slope", total_tokens=n,
-                                   num_docs=num_docs, slope_shape="theoretical")
+        report = select_from_sweep(sweep, "slope-theoretical", total_tokens=n,
+                                   num_docs=num_docs)
+        assert report.mode == "slope-theoretical"
         assert report.penalty_multiplier == 2 * report.lambda_min / penalty_rate(n)
         assert report.criteria == tuple(
             (e.num_comps, e.min_contrast + theoretical_penalty(
@@ -310,12 +292,14 @@ class TestSelectFromSweep:
         corpus_path = tmp_path / "corpus.json"
         save_corpus(sized_corpus(400, 30, 50_000), corpus_path)
         assert cli.run(["select", str(sweep_path), "--out", str(out),
-                        "--slope-shape", "theoretical", "--corpus", str(corpus_path)]) == 0
-        report = select_from_sweep(self.kinked(), "slope", total_tokens=50_000,
-                                   num_docs=400, slope_shape="theoretical")
+                        "--mode", "slope-theoretical", "--corpus", str(corpus_path)]) == 0
+        report = select_from_sweep(self.kinked(), "slope-theoretical", total_tokens=50_000,
+                                   num_docs=400)
+        assert json.loads(out.read_text())["mode"] == "slope-theoretical"
         assert out.read_text() == dumps_selection_report(report)
         assert capsys.readouterr().out == (
-            f"K_hat={report.k_hat} (mode=slope, lambda_min={report.lambda_min:.6g})\n")
+            f"K_hat={report.k_hat} (mode=slope-theoretical, "
+            f"lambda_min={report.lambda_min:.6g})\n")
 
 
 class TestSweepCsv:
@@ -343,12 +327,16 @@ class TestSweepCsv:
 
     def test_bad_row_has_line_number(self):
         # a quoted field spanning two lines moves the bad row to line 4
-        for text, line in [("K,D_K,min_contrast\n1,20,5.0\n2,40,oops\n", 3),
-                           ('K,D_K,min_contrast\n"1\n",20,5.0\n2,40,oops\n', 4)]:
+        oops = "could not convert string to float: 'oops'"
+        for text, line, message in [
+                ("K,D_K,min_contrast\n1,20,5.0\n2,40,oops\n", 3, oops),
+                ('K,D_K,min_contrast\n"1\n",20,5.0\n2,40,oops\n', 4, oops),
+                ("K,D_K,min_contrast\n2,40,4.0\n1,20,5.0\n2,40,3.0\n", 4,
+                 "K=2 repeats line 2")]:
             with pytest.raises(ParseError) as err:
                 sweep_from_csv(text)
             assert err.value.line == line
-            assert str(err.value) == f"line {line}: could not convert string to float: 'oops'"
+            assert str(err.value) == f"line {line}: {message}"
 
     def test_save_load(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from docmix.em import EmConfig, run_em, water_fill_project
 from docmix.errors import OracleInfeasibleError
-from docmix.mixture import MixtureModel, kl_categorical, log_likelihood
+from docmix.mixture import MixtureModel, log_likelihood
 from docmix.synth import (
     EvalReport,
     PlantedMixture,
