@@ -320,6 +320,8 @@ def _number_flag(kind, accept, rule: str):
 
 
 _positive_int = _number_flag(int, lambda n: n >= 1, "an integer >= 1")
+_nonnegative_int = _number_flag(int, lambda n: n >= 0, "an integer >= 0")
+_positive_finite = _number_flag(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 _fraction = _number_flag(float, lambda x: 0 < x <= 1, "a number in (0, 1]")
 
 
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit comma-separated ladder; a repeated entry is fitted once")
     p.add_argument("--fits-dir", default=None,
                    help="also save per-K model and run-log files here")
-    p.add_argument("--seed", type=int, default=EmConfig.rng_seed,
+    p.add_argument("--seed", type=_nonnegative_int, default=EmConfig.rng_seed,
                    help="base RNG seed (default %(default)s)")
     p.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p.add_argument("--starts", type=_positive_int, default=EmConfig.n_starts,
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on full-EM iterations after the long run's start and "
                         "after each threshold removal, which it makes there and "
                         "wherever it stops (default %(default)s)")
-    p.add_argument("--rel-tol", type=float, default=EmConfig.rel_tol,
+    p.add_argument("--rel-tol", type=_positive_finite, default=EmConfig.rel_tol,
                    help="relative loglik stall tolerance (default %(default)s)")
     p.set_defaults(func=cmd_sweep)
 

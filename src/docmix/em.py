@@ -22,9 +22,9 @@ exceed _BLOCK_BYTES, so memory stays flat as L, K or S grow; threads
 run the blocks at once. Under the MML rule K shrinks inside the loop, so
 each start runs alone. Every kernel gives each model of a block exactly
 the values it gets alone, so neither the thread count nor the grouping
-changes any result. A group that fails reruns its starts one by one, so
-the error a rung raises is always that of its lowest failing seed, at
-that start's own iteration.
+changes any result. A rung whose starts fail raises the error of its
+first failing group, in seed order; the grouping depends on the corpus,
+K and the start count alone, so that error does not depend on threads.
 
 The kernels keep off two underflow slow paths, with results bit for
 bit those of the plain kernels. On long documents the posteriors are
@@ -74,7 +74,6 @@ from .corpus import Corpus, dumps_document
 from .errors import (
     ConfigError,
     DegenerateFitError,
-    DocmixError,
     InfeasibleFloorError,
     NumericalError,
 )
@@ -451,23 +450,18 @@ def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
     """Every start of a rung (seeds rng_seed + i) run short_iters
     iterations, in lockstep groups under the threshold rule and alone
     under MML; one FitResult per start, in seed order. The groups are as
-    few as _BLOCK_BYTES allows; threads only size the pool that runs them."""
+    few as _BLOCK_BYTES allows; threads only size the pool that runs them.
+    A failing group fails at the earliest iteration any of its starts
+    fails, and the rung raises its first failing group's error, whatever
+    the thread count."""
     weight_offset = config.weight_offset(corpus.num_words)
 
     def run_group(seeds: list[int]) -> list[FitResult]:
         # A fixed number of iterations: rel_tol 0 never stops a start early,
         # not even one that stalls at eta == 0.
-        try:
-            pi, log_f = _random_init_block(corpus, k, seeds, epsilon)
-            return _em_loop(corpus, pi, log_f, epsilon, seeds, config.short_iters,
-                            0.0, weight_offset)
-        except (DocmixError, ValueError):
-            if len(seeds) == 1:
-                raise
-            # A block fails at the earliest iteration any start fails. Rerun
-            # its starts alone, so the error raised is the lowest seed's,
-            # whatever the grouping.
-            return [fit for seed in seeds for fit in run_group([seed])]
+        pi, log_f = _random_init_block(corpus, k, seeds, epsilon)
+        return _em_loop(corpus, pi, log_f, epsilon, seeds, config.short_iters,
+                        0.0, weight_offset)
 
     num_starts = config.n_starts
     if weight_offset:

@@ -88,18 +88,6 @@ def varying_vocab_penalty(num_comps: int, num_words: int, num_docs: int,
                          + num_comps * num_words * math.log(2.0))
 
 
-def aic_bic(min_contrast: float, dimension: int, total_tokens: int) -> tuple[float, float]:
-    """Classical criteria on the total-contrast scale.
-
-    The per-observation forms D/n and D log(n)/(2n) are multiplied by n
-    so they live on the same scale as the penalized contrast.
-    """
-    if total_tokens < 2:
-        raise ValueError(f"need at least 2 tokens, got {total_tokens}")
-    return (min_contrast + dimension,
-            min_contrast + dimension * math.log(total_tokens) / 2.0)
-
-
 @dataclass(frozen=True)
 class SweepEntry:
     num_comps: int
@@ -110,6 +98,8 @@ class SweepEntry:
     def __post_init__(self):
         if self.num_comps < 1 or self.dimension < 1:
             raise ValueError("component count and dimension must be positive")
+        if self.dimension >= 2**53:  # below it, a penalty reads D_K as an exact float
+            raise ValueError(f"dimension {self.dimension} is not below 2**53")
         if not math.isfinite(self.min_contrast):
             raise ValueError(f"contrast must be finite, got {self.min_contrast}")
 
@@ -251,12 +241,15 @@ def select_from_sweep(sweep: SweepResult, mode: str = "slope", *,
     penalty(K) = 2 lambda_min K B; "slope-theoretical" uses the risk
     bound rescaled so its leading term matches that, a multiplier of
     2 lambda_min / penalty_rate(n); "theoretical" uses the risk bound
-    with multiplier 1; "aic" and "bic" use the classical baselines.
+    with multiplier 1; "aic" and "bic" use the classical baselines D_K
+    and D_K log(n)/2.
     """
     if len(sweep) == 0:
         raise ValueError("sweep is empty")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if total_tokens < 2:
+        raise ValueError(f"need at least 2 tokens, got {total_tokens}")
     lam = diag = None
     multiplier = 1.0
     if mode in ("slope", "slope-theoretical"):
@@ -274,9 +267,9 @@ def select_from_sweep(sweep: SweepResult, mode: str = "slope", *,
     elif mode == "slope":
         penalty = [2.0 * lam * e.dimension for e in sweep.entries]
     else:
-        column = 0 if mode == "aic" else 1
-        penalty = [aic_bic(e.min_contrast, e.dimension, total_tokens)[column] - e.min_contrast
-                   for e in sweep.entries]
+        # the per-token criteria D/n and D log(n)/(2n), times n, on the contrast's scale
+        scale = 1.0 if mode == "aic" else math.log(total_tokens) / 2.0
+        penalty = [e.dimension * scale for e in sweep.entries]
         multiplier = None
     return select_model(sweep, penalty, mode=mode, lambda_min=lam,
                         penalty_multiplier=multiplier, diagnostics=diag)

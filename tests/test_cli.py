@@ -254,6 +254,10 @@ class TestSweepSelect:
         (["--kmax", "2", "--max-iters", "-1"], "--max-iters"),
         (["--ladder", "0,1"], "--ladder"),
         ([], "--kmax"),
+        (["--kmax", "2", "--seed", "-1"], "--seed"),
+        (["--kmax", "2", "--rel-tol", "0"], "--rel-tol"),
+        (["--kmax", "2", "--rel-tol", "inf"], "--rel-tol"),  # a run log could not hold it
+        (["--kmax", "2", "--rel-tol", "nan"], "--rel-tol"),
     ])
     def test_bad_count_flag_is_a_usage_error(self, planted_setup, tmp_path, flags,
                                              named, capsys):
@@ -396,13 +400,27 @@ class TestSweepSelect:
         assert "lambda_min=nan" not in capsys.readouterr().out
 
     def test_non_finite_criterion_is_data_error(self, tmp_path, capsys):
-        # rate * K * B overflows a float at K = 10**306, though K and D_K are exact ints
-        k = 10**306
+        # slope's 2 * lambda_min * D_K lifts a contrast near the float range to inf,
+        # though every row parses
+        k0 = 2 * 10**14
         sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
-        sweep_path.write_text(f"K,D_K,min_contrast\n1,20,1000\n{k},{20 * k},900\n")
-        assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode",
-                        "theoretical", "--corpus", str(corpus_file(tmp_path, 20))]) == 2
-        assert capsys.readouterr().err == f"error: criterion for K={k} is not finite: inf\n"
+        sweep_path.write_text("K,D_K,min_contrast\n" + "".join(
+            f"{k0 + i},{20 * (k0 + i)},{1e296 - i * 1e294!r}\n" for i in range(4)))
+        assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode", "slope",
+                        "--corpus", str(corpus_file(tmp_path, 20))]) == 2
+        assert capsys.readouterr().err == f"error: criterion for K={k0} is not finite: inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dimension_past_exact_floats_is_data_error(self, tmp_path, capsys, mode):
+        # no float holds every integer from 2**53 on, so such a D_K is not read
+        k = 10**307
+        sweep_path, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        sweep_path.write_text(f"K,D_K,min_contrast\n1,30,1000\n{k},{30 * k},900\n")
+        assert cli.run(["select", str(sweep_path), "--out", str(out), "--mode", mode,
+                        "--corpus", str(corpus_file(tmp_path, 30))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: dimension {30 * k} is not below 2**53\n")
         assert not out.exists()
 
     def test_dimension_not_multiple_of_k_is_data_error(self, tmp_path, capsys):
@@ -451,24 +469,6 @@ class TestSweepSelect:
         assert capsys.readouterr().err.endswith(
             f"error: unrecognized arguments: {' '.join(flags)}\n")
         assert not out.exists()
-
-    def test_negative_seed_is_config_error(self, tmp_path, capsys):
-        # the corpus path does not exist: the seed is rejected before it is read
-        code = cli.run(["sweep", str(tmp_path / "missing.json"), "--out",
-                        str(tmp_path / "s.csv"), "--kmax", "2", "--seed", "-1"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: config field 'rng_seed': must be >= 0\n"
-        assert not (tmp_path / "s.csv").exists()
-
-    def test_non_finite_rel_tol_is_config_error(self, planted_setup, tmp_path, capsys):
-        # a run log holding it would not be JSON
-        _, corpus_path = planted_setup
-        code = cli.run(["sweep", str(corpus_path), "--out", str(tmp_path / "s.csv"),
-                        "--kmax", "2", "--rel-tol", "inf", "--fits-dir", str(tmp_path / "fits")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: config field 'rel_tol': must be finite and > 0\n")
-        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "fits").exists()
 
 
 class TestUsageErrors:

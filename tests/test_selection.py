@@ -16,9 +16,9 @@ from docmix.errors import (
     ParseError,
 )
 from docmix.selection import (
+    MODES,
     SweepEntry,
     SweepResult,
-    aic_bic,
     derive_seed,
     dumps_selection_report,
     load_sweep,
@@ -94,11 +94,6 @@ class TestPenalties:
         varying_vocab_penalty(4, 2, 10, 100, multiplier=1.0)
         with pytest.raises(ValueError):
             varying_vocab_penalty(2, 1, 10, 100, multiplier=1.0)
-
-    def test_aic_bic(self):
-        aic, bic = aic_bic(100.0, 60, 10_000)
-        assert aic == 160.0
-        assert abs(bic - (100.0 + 60 * math.log(10_000) / 2)) < 1e-12
 
 
 def linear_sweep_points(lam, num_points=10, width=20, offset=5000.0):
@@ -251,6 +246,25 @@ class TestSelectFromSweep:
         assert aic_report.k_hat == 1
         assert bic_report.k_hat == 1
 
+    def test_aic_bic_criteria_are_contrast_plus_penalty(self):
+        rng = np.random.default_rng(3)
+        n = 50_021
+        entries = tuple(SweepEntry(num_comps=k, dimension=30 * k,
+                                   min_contrast=float(rng.uniform(1e3, 1e7)))
+                        for k in range(1, 9))
+        sweep = SweepResult(entries=entries)
+        aic = select_from_sweep(sweep, "aic", total_tokens=n, num_docs=400)
+        bic = select_from_sweep(sweep, "bic", total_tokens=n, num_docs=400)
+        assert aic.criteria == tuple((e.num_comps, e.min_contrast + e.dimension)
+                                     for e in entries)
+        assert bic.criteria == tuple(
+            (e.num_comps, e.min_contrast + e.dimension * math.log(n) / 2) for e in entries)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_needs_two_tokens(self, mode):
+        with pytest.raises(ValueError, match="^need at least 2 tokens, got 1$"):
+            select_from_sweep(self.synthetic(), mode, total_tokens=1, num_docs=400)
+
     def test_theoretical_mode_needs_counts(self):
         sweep = self.synthetic()
         with pytest.raises(TypeError, match="num_docs"):
@@ -332,7 +346,9 @@ class TestSweepCsv:
                 ("K,D_K,min_contrast\n1,20,5.0\n2,40,oops\n", 3, oops),
                 ('K,D_K,min_contrast\n"1\n",20,5.0\n2,40,oops\n', 4, oops),
                 ("K,D_K,min_contrast\n2,40,4.0\n1,20,5.0\n2,40,3.0\n", 4,
-                 "K=2 repeats line 2")]:
+                 "K=2 repeats line 2"),
+                (f"K,D_K,min_contrast\n1,30,5.0\n{10**307},{30 * 10**307},4.0\n", 3,
+                 f"dimension {30 * 10**307} is not below 2**53")]:
             with pytest.raises(ParseError) as err:
                 sweep_from_csv(text)
             assert err.value.line == line
