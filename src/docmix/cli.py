@@ -8,7 +8,8 @@ owns every flag rule. Each input has one way in: every fit's floor is
 1/n for n tokens, ``select`` reads n and L only from its required
 ``--corpus`` and its rule only from ``--mode``, which names the whole
 penalty, and document years come only from ``report --metadata``. The
-random starts' noise, the threshold rule's divisor and slope mode's
+EM schedule (10 short iterations, 500 M-steps, stall tolerance 1e-6),
+the random starts' noise, the threshold rule's divisor and slope mode's
 plateau tolerance are constants: no flag or config field sets them.
 """
 
@@ -71,13 +72,7 @@ def cmd_ingest(args) -> None:
 def cmd_sweep(args) -> None:
     # --kmax stays a range: an oversized one is rejected below, never listed
     ladder = args.ladder or range(1, args.kmax + 1)
-    config = EmConfig(
-        n_starts=args.starts,
-        short_iters=args.short_iters,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        rng_seed=args.seed,
-    )
+    config = EmConfig(n_starts=args.starts, rng_seed=args.seed)
     corpus = load_corpus(args.corpus)
     k_top = max(args.ladder) if args.ladder else args.kmax
     if k_top > corpus.num_docs:
@@ -321,7 +316,6 @@ def _number_flag(kind, accept, rule: str):
 
 _positive_int = _number_flag(int, lambda n: n >= 1, "an integer >= 1")
 _nonnegative_int = _number_flag(int, lambda n: n >= 0, "an integer >= 0")
-_positive_finite = _number_flag(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 _fraction = _number_flag(float, lambda x: 0 < x <= 1, "a number in (0, 1]")
 
 
@@ -373,14 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p.add_argument("--starts", type=_positive_int, default=EmConfig.n_starts,
                    help="number of short-EM starts (default %(default)s)")
-    p.add_argument("--short-iters", type=_positive_int, default=EmConfig.short_iters,
-                   help="iterations per short run (default %(default)s)")
-    p.add_argument("--max-iters", type=_positive_int, default=EmConfig.max_iters,
-                   help="cap on full-EM iterations after the long run's start and "
-                        "after each threshold removal, which it makes there and "
-                        "wherever it stops (default %(default)s)")
-    p.add_argument("--rel-tol", type=_positive_finite, default=EmConfig.rel_tol,
-                   help="relative loglik stall tolerance (default %(default)s)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("select", help="pick the component count from a sweep CSV")

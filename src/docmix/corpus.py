@@ -339,12 +339,13 @@ def dump_bag_of_words(corpus: Corpus) -> tuple[str, str]:
 
 
 def prune_vocabulary(corpus: Corpus, max_doc_fraction: float, top_b: int) -> Corpus:
-    """Drop over-common words, keep the ``top_b`` most frequent, drop emptied docs.
+    """Drop absent and over-common words, keep the ``top_b`` heaviest, drop emptied docs.
 
-    Words present in strictly more than ``max_doc_fraction`` of the
-    documents are removed first; of the remainder, the ``top_b`` with the
-    highest total count are retained (ties go to the lower original
-    index). Presence fractions use the number of documents the corpus has
+    Words present in no document or in strictly more than
+    ``max_doc_fraction`` of the documents are removed first; of the
+    remainder, the ``top_b`` with the highest total count are retained
+    (ties go to the lower original index), so at least one document
+    survives. Presence fractions use the number of documents the corpus has
     ever seen (retained plus previously dropped) as denominator, so
     pruning twice with the same arguments is a no-op.
     """
@@ -356,13 +357,13 @@ def prune_vocabulary(corpus: Corpus, max_doc_fraction: float, top_b: int) -> Cor
     data, indices, indptr = corpus.counts
     num_seen = corpus.num_docs + len(corpus.dropped_doc_ids)
     doc_freq = np.bincount(indices, minlength=corpus.num_words)
-    candidates = np.flatnonzero(doc_freq <= max_doc_fraction * num_seen)
+    candidates = np.flatnonzero((doc_freq > 0) & (doc_freq <= max_doc_fraction * num_seen))
     # a stable sort of the ascending candidates breaks ties by lower index
     heaviest = np.argsort(-corpus.word_totals()[candidates], kind="stable")
     kept = np.sort(candidates[heaviest[:top_b]])
     if not kept.size:
         raise EmptyVocabularyError(
-            f"no words left after removing those in more than {max_doc_fraction:.0%} of documents"
+            f"no word occurs in at most {100 * max_doc_fraction:g}% of documents"
         )
 
     column = np.full(corpus.num_words, -1, dtype=indices.dtype)

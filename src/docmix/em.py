@@ -5,8 +5,8 @@ phase (_short_phase) runs several short EMs from random starts, and the
 long phase (_long_phase) continues the best with full EM, deleting weak
 components between runs. Every run is one loop, _em_loop, each
 iteration one M-step and one E-step that scores the corpus once; a
-short start runs exactly short_iters iterations, a long run stops at
-the relative stall rel_tol or max_iters.
+short start runs exactly _SHORT_ITERS iterations, a long run stops at
+the relative stall _REL_TOL or after _MAX_ITERS.
 
 The loop advances a block of S models of one size K in lockstep: their
 parameters are stacked into one (S*K) x B array, so an iteration is one
@@ -14,7 +14,7 @@ sparse scoring product, one log-sum-exp (over slices of documents, to
 bound its sorted copy), one X.T @ resp and one water-fill over all rows,
 whatever the number of models. The block stops as one, after max_iters
 iterations or once every model has stalled; no model leaves it early.
-Short starts pass rel_tol 0, so each runs exactly short_iters
+Short starts pass rel_tol 0, so each runs exactly _SHORT_ITERS
 iterations, and run_em is the block of one, so both stop where a model
 run alone would. Under the threshold rule a rung's short starts run as
 one such block, or as more when one (L, S*K) array of all S starts would
@@ -57,9 +57,9 @@ loglik - (N/2) sum_k log pi_k, between annihilation events; the
 log-likelihood itself can fall, and the loop stops when the objective
 stalls.
 
-The start noise (_INIT_NOISE_SCALE) and the divisor are constants, not
-EmConfig fields: no caller sets another. A fit's run log (dumps_run_log)
-is a strict-JSON docmix document, so EmConfig admits only finite values.
+The EM schedule (_SHORT_ITERS, _MAX_ITERS, _REL_TOL), the start noise
+(_INIT_NOISE_SCALE) and the divisor are constants: no flag or config
+field sets them. A fit's run log (dumps_run_log) still records all five.
 """
 
 from __future__ import annotations
@@ -90,22 +90,22 @@ from .mixture import (  # score_matrix is also reached as docmix.em.score_matrix
 
 ANNIHILATION_RULES = ("threshold", "mml")
 
+# The EM schedule: a short start runs _SHORT_ITERS iterations, and a long
+# run stops after _MAX_ITERS M-steps or once its relative stall is below _REL_TOL.
+_SHORT_ITERS = 10
+_MAX_ITERS = 500
+_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class EmConfig:
     n_starts: int = 15
-    short_iters: int = 10
-    max_iters: int = 500
-    rel_tol: float = 1e-6
     rng_seed: int = 0
     annihilation: str = "threshold"
 
     def __post_init__(self):
-        for name in ("n_starts", "short_iters", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ConfigError("must be >= 1", field=name)
-        if not 0 < self.rel_tol < math.inf:
-            raise ConfigError("must be finite and > 0", field="rel_tol")
+        if self.n_starts < 1:
+            raise ConfigError("must be >= 1", field="n_starts")
         if self.rng_seed < 0:
             raise ConfigError("must be >= 0", field="rng_seed")
         if self.annihilation not in ANNIHILATION_RULES:
@@ -357,14 +357,13 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
 
 def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
            seed: int | None = None) -> FitResult:
-    """Alternate E and M steps from ``init`` until relative stall or max_iters.
+    """Alternate E and M steps from ``init`` until relative stall or _MAX_ITERS.
 
     Under ``config.annihilation == "mml"`` the M-step uses the MML weight
     update and the fit records the components it annihilated.
     """
     [fit] = _em_loop(corpus, init.pi[None], init.log_f, init.epsilon, [seed],
-                     config.max_iters, config.rel_tol,
-                     config.weight_offset(corpus.num_words))
+                     _MAX_ITERS, _REL_TOL, config.weight_offset(corpus.num_words))
     return fit
 
 
@@ -447,7 +446,7 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
 
 def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
                  threads: int) -> list[FitResult]:
-    """Every start of a rung (seeds rng_seed + i) run short_iters
+    """Every start of a rung (seeds rng_seed + i) run _SHORT_ITERS
     iterations, in lockstep groups under the threshold rule and alone
     under MML; one FitResult per start, in seed order. The groups are as
     few as _BLOCK_BYTES allows; threads only size the pool that runs them.
@@ -460,8 +459,8 @@ def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
         # A fixed number of iterations: rel_tol 0 never stops a start early,
         # not even one that stalls at eta == 0.
         pi, log_f = _random_init_block(corpus, k, seeds, epsilon)
-        return _em_loop(corpus, pi, log_f, epsilon, seeds, config.short_iters,
-                        0.0, weight_offset)
+        return _em_loop(corpus, pi, log_f, epsilon, seeds, _SHORT_ITERS, 0.0,
+                        weight_offset)
 
     num_starts = config.n_starts
     if weight_offset:
@@ -488,7 +487,8 @@ def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult
     Each pass tests start.model, then the model the last run stopped at,
     against 1/(_ANNIHILATION_DIVISOR * K), or 0 under MML. Once a test
     removes nothing the last run is the fit. Otherwise the weak components
-    go, the survivors are renormalized, and _em_loop runs afresh from them.
+    go, the survivors are renormalized, and _em_loop runs afresh from them,
+    so the cap of _MAX_ITERS M-steps counts from the last removal.
     The fit's trace and events are start's, then each run's.
     """
     divisor = _ANNIHILATION_DIVISOR if config.annihilation == "threshold" else math.inf
@@ -506,18 +506,17 @@ def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult
         elif fit is not None:
             return replace(fit, loglik_trace=trace, annihilation_events=events)
         [fit] = _em_loop(corpus, pi[None], log_f, epsilon, [config.rng_seed],
-                         config.max_iters, config.rel_tol,
-                         config.weight_offset(corpus.num_words))
+                         _MAX_ITERS, _REL_TOL, config.weight_offset(corpus.num_words))
         events += [(len(trace) + i - skip, gone) for i, gone in fit.annihilation_events]
         trace += fit.loglik_trace[skip:]
         pi, log_f = fit.model.pi, fit.model.log_f
 
 
 def dumps_run_log(fit: FitResult, config: EmConfig) -> str:
-    # The two constants keep their keys and positions in the record, and the
+    # The constants keep their keys and positions in the record, and the
     # rule is named only when not the default, so run logs stay byte-stable.
-    record = {"n_starts": config.n_starts, "short_iters": config.short_iters,
-              "max_iters": config.max_iters, "rel_tol": config.rel_tol,
+    record = {"n_starts": config.n_starts, "short_iters": _SHORT_ITERS,
+              "max_iters": _MAX_ITERS, "rel_tol": _REL_TOL,
               "annihilation_divisor": _ANNIHILATION_DIVISOR, "rng_seed": config.rng_seed,
               "init_noise_scale": _INIT_NOISE_SCALE}
     if config.annihilation != "threshold":

@@ -300,6 +300,22 @@ class TestPrune:
         with pytest.raises(EmptyVocabularyError):
             prune_vocabulary(corpus, max_doc_fraction=0.1, top_b=4)
 
+    def test_zero_count_word_never_kept(self):
+        # room for every word, yet "ghost", in no document, is not one of them
+        corpus = Corpus.from_docs(Vocabulary(("a", "ghost", "b")), [{0: 2}, {2: 1}, {0: 1}],
+                                  doc_ids=[1, 2, 3])
+        pruned = prune_vocabulary(corpus, max_doc_fraction=1.0, top_b=3)
+        assert pruned.vocab.words == ("a", "b")
+        assert doc_rows(pruned) == [{0: 2}, {1: 1}, {0: 1}]
+
+    def test_every_document_emptied_raises(self):
+        # the one occurring word is in both documents; no zero-count word stands in
+        corpus = Corpus.from_docs(Vocabulary(("common", "ghost")), [{0: 3}, {0: 2}],
+                                  doc_ids=[1, 2])
+        with pytest.raises(EmptyVocabularyError,
+                           match="no word occurs in at most 80% of documents"):
+            prune_vocabulary(corpus, max_doc_fraction=0.8, top_b=2)
+
 
 class TestPersistence:
     def test_save_load(self, tmp_path, tiny_corpus):

@@ -285,8 +285,8 @@ class TestUnderflowKernels:
         corpus = dm.generate_corpus(mix, 150, (400, 900),
                                     seed=np.random.SeedSequence((8, 2))).corpus
         eps = default_floor(corpus.total_tokens)
-        model = run_em(corpus, random_init(corpus, 5, 8, eps),
-                       EmConfig(max_iters=2)).model
+        monkeypatch.setattr(em, "_MAX_ITERS", 2)
+        model = run_em(corpus, random_init(corpus, 5, 8, eps), EmConfig()).model
         skips = []
         putmask = np.putmask
 
@@ -319,9 +319,10 @@ class TestRunEm:
         assert fit.eta_effective <= 1e-6
         fit.model.validate()
 
-    def test_max_iters_respected(self, tiny_corpus, tiny_model):
-        config = EmConfig(max_iters=2, rel_tol=1e-300)
-        fit = run_em(tiny_corpus, tiny_model, config)
+    def test_max_iters_respected(self, tiny_corpus, tiny_model, monkeypatch):
+        monkeypatch.setattr(em, "_MAX_ITERS", 2)
+        monkeypatch.setattr(em, "_REL_TOL", 1e-300)
+        fit = run_em(tiny_corpus, tiny_model, EmConfig())
         assert len(fit.loglik_trace) <= 3
         assert not fit.converged
 
@@ -346,11 +347,12 @@ class TestShortEm:
         b = short_start(tiny_corpus, 3, seed=6, short_iters=4)
         assert not np.array_equal(a.model.log_f, b.model.log_f)
 
-    def test_stalled_start_runs_every_iteration(self, tiny_corpus):
+    def test_stalled_start_runs_every_iteration(self, tiny_corpus, monkeypatch):
         # K=1 sits at its fixed point after one step (eta == 0), yet the
-        # start still runs all short_iters iterations; the long run then
+        # start still runs all _SHORT_ITERS iterations; the long run then
         # converges at once and adds one value
-        fit = robust_em(tiny_corpus, 1, EmConfig(rng_seed=3, short_iters=6))
+        monkeypatch.setattr(em, "_SHORT_ITERS", 6)
+        fit = robust_em(tiny_corpus, 1, EmConfig(rng_seed=3))
         assert fit.loglik_trace[2:] == [fit.loglik_trace[1]] * 6
         assert len(fit.loglik_trace) == 6 + 2
 
@@ -363,25 +365,26 @@ class TestShortEm:
 
 
 class TestThresholdRemoval:
-    def run(self, pi):
+    def run(self, monkeypatch, pi):
+        monkeypatch.setattr(em, "_MAX_ITERS", 5)
         corpus = random_corpus(20, 12, 30, seed=4)
         k = len(pi)
         model = mixture.MixtureModel(pi=np.asarray(pi), log_f=np.log(np.full((k, 12), 1 / 12)),
                                      epsilon=1e-3)
         _, loglik = e_step(corpus, model)
         start = em.FitResult(model, [loglik], [], 0, False, math.inf)
-        return em._long_phase(corpus, start, EmConfig(max_iters=5))
+        return em._long_phase(corpus, start, EmConfig())
 
-    def test_removes_all_below_in_one_sweep(self):
-        fit = self.run([0.5, 0.4985, 0.0005, 0.001])
+    def test_removes_all_below_in_one_sweep(self, monkeypatch):
+        fit = self.run(monkeypatch, [0.5, 0.4985, 0.0005, 0.001])
         # threshold 1/(100*4) = 0.0025 catches both small components at
         # the input model; the survivors are scored as the second value
         assert fit.annihilation_events == [(1, [2, 3])]
         assert fit.k_final == 2
         assert abs(fit.model.pi.sum() - 1.0) < 1e-12
 
-    def test_no_removal_below_divisor(self):
-        fit = self.run([0.7, 0.29, 0.01])
+    def test_no_removal_below_divisor(self, monkeypatch):
+        fit = self.run(monkeypatch, [0.7, 0.29, 0.01])
         assert fit.annihilation_events == []
         assert fit.k_final == 3
 
@@ -409,13 +412,14 @@ class TestRobustEm:
 
     def test_event_index_is_post_short_phase(self, monkeypatch):
         # the first sweep happens on the multistart winner, whose trace
-        # holds short_iters + 1 values
+        # holds _SHORT_ITERS + 1 values
         monkeypatch.setattr(em, "_INIT_NOISE_SCALE", 4.0)
+        monkeypatch.setattr(em, "_SHORT_ITERS", 7)
         mix = dm.planted_mixture(2, 12, seed=np.random.SeedSequence((1, 21)),
                                  min_pairwise_kl=1.0)
         planted = dm.generate_corpus(mix, 12, (20, 60),
                                      seed=np.random.SeedSequence((1, 22)))
-        config = EmConfig(rng_seed=1, n_starts=5, short_iters=7)
+        config = EmConfig(rng_seed=1, n_starts=5)
         fit = robust_em(planted.corpus, 6, config)
         assert fit.annihilation_events == [(8, [4])]
 
@@ -423,11 +427,12 @@ class TestRobustEm:
         # the winner holds a weak component, so the long phase prunes it
         # before its first E-step: the 6-component winner is never rescored
         monkeypatch.setattr(em, "_INIT_NOISE_SCALE", 4.0)
+        monkeypatch.setattr(em, "_SHORT_ITERS", 7)
         mix = dm.planted_mixture(2, 12, seed=np.random.SeedSequence((1, 21)),
                                  min_pairwise_kl=1.0)
         planted = dm.generate_corpus(mix, 12, (20, 60),
                                      seed=np.random.SeedSequence((1, 22)))
-        config = EmConfig(rng_seed=1, n_starts=5, short_iters=7)
+        config = EmConfig(rng_seed=1, n_starts=5)
         widths = []
         block_e_step = em._e_step_block
 
@@ -437,18 +442,18 @@ class TestRobustEm:
 
         monkeypatch.setattr(em, "_e_step_block", recording_e_step)
         fit = robust_em(planted.corpus, 6, config)
-        # one block of 5 starts x 6 components, short_iters + 1 E-steps
+        # one block of 5 starts x 6 components, _SHORT_ITERS + 1 E-steps
         assert widths[:8] == [30] * 8
         assert widths[8:] == [5] * (len(fit.loglik_trace) - 8)
 
     @staticmethod
-    def removal_after_a_run(monkeypatch, **overrides):
+    def removal_after_a_run(monkeypatch):
         monkeypatch.setattr(em, "_INIT_NOISE_SCALE", 4.0)
         monkeypatch.setattr(em, "_ANNIHILATION_DIVISOR", 10.0)
         mix = dm.planted_mixture(3, 12, seed=np.random.SeedSequence((45, 21)))
         planted = dm.generate_corpus(mix, 27, (5, 60),
                                      seed=np.random.SeedSequence((45, 22)))
-        config = EmConfig(rng_seed=45, n_starts=5, **overrides)
+        config = EmConfig(rng_seed=45, n_starts=5)
         # B=12 words identify at most 6 components
         with pytest.warns(mixture.IdentifiabilityWarning):
             return robust_em(planted.corpus, 10, config)
@@ -464,7 +469,8 @@ class TestRobustEm:
         fit.model.validate()
 
     def test_max_iters_counts_from_the_last_removal(self, monkeypatch):
-        fit = self.removal_after_a_run(monkeypatch, max_iters=1)
+        monkeypatch.setattr(em, "_MAX_ITERS", 1)
+        fit = self.removal_after_a_run(monkeypatch)
         assert fit.annihilation_events == [(11, [6, 9]), (13, [0])]
         # one M-step after each removal, and the run ends unconverged
         # where a check removes nothing
@@ -535,7 +541,7 @@ def recorded_fit(monkeypatch, corpus, k_max, config):
 
     monkeypatch.setattr(em, "_e_step_block", recording_e_step)
     fit = robust_em(corpus, k_max, config)
-    head = config.short_iters + 1
+    head = em._SHORT_ITERS + 1
     assert calls[head][0] == calls[head - 1][0]
     calls = calls[:head] + calls[head + 1:]
     assert fit.loglik_trace == [loglik for loglik, _ in calls]
@@ -624,7 +630,7 @@ class TestMmlAnnihilation:
         corpus = planted_corpus(10)
         config = EmConfig(rng_seed=10, n_starts=6, annihilation="mml")
         fit = robust_em(corpus, 6, config)
-        starts = [short_start(corpus, 6, config.rng_seed + i, config.short_iters,
+        starts = [short_start(corpus, 6, config.rng_seed + i, em._SHORT_ITERS,
                               weight_offset=config.weight_offset(corpus.num_words))
                   for i in range(config.n_starts)]
         lengths = [em.message_length(s.loglik_trace[-1], s.model.pi,
@@ -634,7 +640,7 @@ class TestMmlAnnihilation:
         best = starts[int(np.argmin(lengths))]
         # here the highest log-likelihood start keeps a fourth component
         assert best is not by_loglik
-        assert fit.loglik_trace[:config.short_iters + 1] == best.loglik_trace
+        assert fit.loglik_trace[:em._SHORT_ITERS + 1] == best.loglik_trace
 
     def test_threads_do_not_change_result(self):
         corpus = planted_corpus(7)
@@ -788,10 +794,6 @@ class TestBlockStop:
 class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_starts", 0),
-        ("short_iters", 0),
-        ("max_iters", 0),
-        ("rel_tol", 0.0),
-        ("rel_tol", math.inf),
         ("rng_seed", -1),
         ("annihilation", "bogus"),
     ])

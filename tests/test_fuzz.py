@@ -145,7 +145,7 @@ SYNTH_TEXT = json.dumps({
     "schema_version": 1, "k_true": 2, "num_words": 10, "num_docs": 30,
     "length_range": [20, 50], "min_pairwise_kl": 1.0, "concentration": 0.5,
     "seeds": [0, 1], "ladder": [1, 2, 3], "mode": "bic",
-    "em": {"n_starts": 4, "rel_tol": 1e-6, "annihilation": "mml"},
+    "em": {"n_starts": 4, "annihilation": "mml"},
 })
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docmix.corpus import Corpus, Vocabulary
+import docmix.em as em
 from docmix.em import EmConfig, random_init, run_em
 from docmix.errors import FormatError
 import docmix.mixture as mixture
@@ -158,21 +159,23 @@ def per_document_risk(true_densities, model, labels, doc_lengths, total_tokens):
     return risk
 
 
-def planted_fit(k_true, num_words, num_docs, k_fit, seed):
-    """A planted corpus and a short EM fit of k_fit components to it."""
+def planted_fit(monkeypatch, k_true, num_words, num_docs, k_fit, seed):
+    """A planted corpus and a 15-step EM fit of k_fit components to it."""
+    monkeypatch.setattr(em, "_MAX_ITERS", 15)
     mix = planted_mixture(k_true, num_words, seed=seed, concentration=0.5)
     planted = generate_corpus(mix, num_docs, (20, 120), seed=seed + 1)
     corpus = planted.corpus
     init = random_init(corpus, k_fit, seed + 2, default_floor(corpus.total_tokens))
-    return planted, run_em(corpus, init, EmConfig(max_iters=15)).model
+    return planted, run_em(corpus, init, EmConfig()).model
 
 
 class TestWeightedRisk:
     @pytest.mark.parametrize("k_true,num_words,num_docs,k_fit", [
         (3, 20, 200, 4), (4, 50, 300, 3), (3, 12, 150, 3), (1, 8, 40, 2),
     ])
-    def test_equals_per_document_loop(self, k_true, num_words, num_docs, k_fit):
-        planted, model = planted_fit(k_true, num_words, num_docs, k_fit, seed=10 * k_fit + k_true)
+    def test_equals_per_document_loop(self, monkeypatch, k_true, num_words, num_docs, k_fit):
+        planted, model = planted_fit(monkeypatch, k_true, num_words, num_docs, k_fit,
+                                     seed=10 * k_fit + k_true)
         corpus, truth = planted.corpus, planted.mixture.densities
         labels = map_assign(corpus, model)
         got = weighted_kl_risk(truth, planted.labels_true, model, labels,
@@ -182,8 +185,8 @@ class TestWeightedRisk:
         assert type(got) is float and 0 < got < math.inf
         assert repr(got) == repr(float(expected))
 
-    def test_fit_with_an_unused_component(self):
-        planted, model = planted_fit(3, 20, 200, 4, seed=7)
+    def test_fit_with_an_unused_component(self, monkeypatch):
+        planted, model = planted_fit(monkeypatch, 3, 20, 200, 4, seed=7)
         pi = model.pi.copy()
         pi[2] = 0.0  # a zero-weight component is never the MAP label
         model = MixtureModel(pi=pi / pi.sum(), log_f=model.log_f, epsilon=model.epsilon)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import docmix.em as em
 from docmix.em import EmConfig, run_em, water_fill_project
 from docmix.errors import OracleInfeasibleError
 from docmix.mixture import MixtureModel, log_likelihood
@@ -186,7 +187,7 @@ class TestMatching:
 
 
 class TestEvaluateRun:
-    def test_true_model_has_zero_risk(self):
+    def test_true_model_has_zero_risk(self, monkeypatch):
         mix = planted_mixture(3, 15, seed=17, min_pairwise_kl=1.0)
         planted = generate_corpus(mix, 50, (40, 80), seed=18)
         eps = 1.0 / planted.corpus.total_tokens
@@ -194,7 +195,9 @@ class TestEvaluateRun:
             water_fill_project(row, eps) for row in mix.densities
         ]))
         truth = MixtureModel(pi=mix.weights, log_f=log_f, epsilon=eps)
-        fit = run_em(planted.corpus, truth, EmConfig(max_iters=1, rel_tol=1e30))
+        monkeypatch.setattr(em, "_MAX_ITERS", 1)
+        monkeypatch.setattr(em, "_REL_TOL", 1e30)
+        fit = run_em(planted.corpus, truth, EmConfig())
         report = evaluate_run(planted, fit)
         assert isinstance(report, EvalReport)
         # the floor projection moves the planted rows by at most the floor
@@ -202,11 +205,12 @@ class TestEvaluateRun:
         assert report.risk < 0.05
         assert report.agreement >= 0.9
 
-    def test_vocabulary_mismatch_rejected(self):
+    def test_vocabulary_mismatch_rejected(self, monkeypatch):
         mix = planted_mixture(2, 6, seed=19)
         planted = generate_corpus(mix, 8, (10, 20), seed=20)
         model = random_model(2, 7, 100, seed=21)
-        fit = run_em(random_corpus(4, 7, 10, seed=22), model,
-                     EmConfig(max_iters=1, rel_tol=1e30))
+        monkeypatch.setattr(em, "_MAX_ITERS", 1)
+        monkeypatch.setattr(em, "_REL_TOL", 1e30)
+        fit = run_em(random_corpus(4, 7, 10, seed=22), model, EmConfig())
         with pytest.raises(ValueError):
             evaluate_run(planted, fit)
