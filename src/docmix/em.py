@@ -16,10 +16,12 @@ whatever the number of models. The block stops as one, after max_iters
 iterations or once every model has stalled; no model leaves it early.
 Short starts pass rel_tol 0, so each runs exactly _SHORT_ITERS
 iterations, and run_em is the block of one, so both stop where a model
-run alone would. Under the threshold rule a rung's short starts run as
-one such block, or as more when one (L, S*K) array of all S starts would
-exceed _BLOCK_BYTES, so memory stays flat as L, K or S grow; threads
-run the blocks at once. Under the MML rule K shrinks inside the loop, so
+run alone would. The loop returns raw runs; _fit_result builds a
+FitResult only for run_em's run, a rung's best short start and its final
+fit. Under the threshold rule a rung's short starts run as one such
+block, or as more when one (L, S*K) array of all S starts would exceed
+_BLOCK_BYTES, so memory stays flat as L, K or S grow; threads run the
+blocks at once. Under the MML rule K shrinks inside the loop, so
 each start runs alone. Every kernel gives each model of a block exactly
 the values it gets alone, so neither the thread count nor the grouping
 changes any result. A rung whose starts fail raises the error of its
@@ -65,8 +67,10 @@ field sets them. A fit's run log (dumps_run_log) still records all five.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +101,11 @@ _MAX_ITERS = 500
 _REL_TOL = 1e-6
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but no bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EmConfig:
     n_starts: int = 15
@@ -104,6 +113,11 @@ class EmConfig:
     annihilation: str = "threshold"
 
     def __post_init__(self):
+        for name in ("n_starts", "rng_seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"must be an integer, got {value!r}", field=name)
+            object.__setattr__(self, name, int(value))
         if self.n_starts < 1:
             raise ConfigError("must be >= 1", field="n_starts")
         if self.rng_seed < 0:
@@ -155,7 +169,7 @@ def _water_fill_rows(weights, epsilon: float) -> np.ndarray:
     # C order first: the row sums below must reduce each row pairwise, as
     # a 1-D sum does; over an F-ordered array they run sequentially.
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     rows, num = w.shape
     if not 0 < epsilon:
@@ -165,9 +179,9 @@ def _water_fill_rows(weights, epsilon: float) -> np.ndarray:
             f"floor {epsilon} infeasible for {num} categories ({num}*{epsilon} > 1)"
         )
     peak = w.max(axis=1)
-    if not np.all(np.isfinite(peak)):
+    if not np.isfinite(peak).all():
         raise ValueError("weights must be finite")
-    if not np.all(peak > 0):
+    if not (peak > 0).all():
         raise ValueError("weights must have positive total")
     # normalize in two steps (max first, then sum) so neither subnormal nor
     # huge inputs can underflow the floor comparisons or overflow the sums
@@ -186,7 +200,7 @@ def _water_fill_rows(weights, epsilon: float) -> np.ndarray:
     at = np.arange(rows)
     # Unreachable: the last candidate pins all but the heaviest coordinate,
     # and a positive-total weight vector always clears the floor there.
-    if not np.all(consistent[at, pinned]):
+    if not consistent[at, pinned].all():
         raise NumericalError(f"no consistent water level for floor {epsilon}")
     return np.maximum(epsilon, w * (denom[pinned] / suffix[at, pinned])[:, None])
 
@@ -245,7 +259,7 @@ def _m_step_block(counts_t, resp: np.ndarray, k: int, epsilon: float,
     if weight_offset:
         col_mass = np.maximum(col_mass - weight_offset, 0.0)
     mass = col_mass.reshape(-1, k)
-    if weight_offset and not np.all(mass.any(axis=1)):
+    if weight_offset and not mass.any(axis=1).all():
         raise DegenerateFitError(
             f"every component's responsibility mass is at most "
             f"N/2 = {weight_offset}"
@@ -292,18 +306,28 @@ def _objective(loglik: float, pi: np.ndarray, weight_offset: float) -> float:
     return loglik - weight_offset * float(np.log(pi).sum())
 
 
+class _Run(NamedTuple):
+    """One model's run of _em_loop: last weights (K,) and log densities (K, B),
+    views into the block, trace, annihilation events and last relative stall."""
+    pi: np.ndarray
+    log_f: np.ndarray
+    trace: list[float]
+    events: list[tuple[int, list[int]]]
+    eta: float
+
+
 def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
-             seeds: list, max_iters: int, rel_tol: float,
-             weight_offset: float = 0.0) -> list[FitResult]:
-    """E and M steps for S models in lockstep; one FitResult per model, in
+             max_iters: int, rel_tol: float, weight_offset: float = 0.0) -> list[_Run]:
+    """E and M steps for S models in lockstep; one _Run per model, in
     input order.
 
     The block holds weights ``pi`` (S, K) and log densities ``log_f``
-    (S*K, B); model s starts from rows s*K .. s*K + K - 1 and is recorded
-    with ``seeds[s]``. The block stops as one: after max_iters M-steps, or
-    once every model's relative stall is below rel_tol. Each model's trace
-    begins with the one it runs alone; a model that stalls before the
-    others keeps iterating until the block stops.
+    (S*K, B); model s starts from rows s*K .. s*K + K - 1. The block
+    stops as one: after max_iters M-steps, or once every model's relative
+    stall is below rel_tol. Each model's trace begins with the one it
+    runs alone; a model that stalls before the others keeps iterating
+    until the block stops. Every M-step's weights and densities pass
+    _validate_block before they are scored.
 
     A positive weight_offset (MML) takes a block of one model and removes
     the components the M-step set to 0, each removal recorded as (index
@@ -344,15 +368,14 @@ def _em_loop(corpus: Corpus, pi: np.ndarray, log_f: np.ndarray, epsilon: float,
             k = pi.size
         _validate_block(pi.reshape(num_models, k), log_f, epsilon)
         resp, loglik = _e_step_block(counts, pi, log_f, k)
-    return [FitResult(
-        model=MixtureModel(pi=pi[s * k:(s + 1) * k].copy(),
-                           log_f=log_f[s * k:(s + 1) * k].copy(), epsilon=epsilon),
-        loglik_trace=traces[s],
-        annihilation_events=list(events),
-        seed=seeds[s],
-        converged=eta[s] < rel_tol,
-        eta_effective=eta[s],
-    ) for s in range(num_models)]
+    return [_Run(pi[s * k:(s + 1) * k], log_f[s * k:(s + 1) * k], traces[s],
+                 list(events), eta[s]) for s in range(num_models)]
+
+
+def _fit_result(run: _Run, epsilon: float, seed: int | None, rel_tol: float) -> FitResult:
+    """The FitResult of a run of _em_loop, its model validated on construction."""
+    model = MixtureModel(pi=run.pi, log_f=run.log_f, epsilon=epsilon)
+    return FitResult(model, run.trace, run.events, seed, run.eta < rel_tol, run.eta)
 
 
 def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
@@ -362,9 +385,9 @@ def run_em(corpus: Corpus, init: MixtureModel, config: EmConfig,
     Under ``config.annihilation == "mml"`` the M-step uses the MML weight
     update and the fit records the components it annihilated.
     """
-    [fit] = _em_loop(corpus, init.pi[None], init.log_f, init.epsilon, [seed],
-                     _MAX_ITERS, _REL_TOL, config.weight_offset(corpus.num_words))
-    return fit
+    [run] = _em_loop(corpus, init.pi[None], init.log_f, init.epsilon, _MAX_ITERS,
+                     _REL_TOL, config.weight_offset(corpus.num_words))
+    return _fit_result(run, init.epsilon, seed, _REL_TOL)
 
 
 # Lognormal sigma of the noise that tilts each random start's densities.
@@ -422,45 +445,46 @@ def robust_em(corpus: Corpus, k_max: int, config: EmConfig,
     """Multi-start EM at k_max components with annihilation of weak ones.
 
     Runs config.n_starts short fits (seeds rng_seed + i) and continues the best,
-    by log-likelihood or under "mml" by message length, with _long_phase. Every
-    fit uses the floor 1/n for n tokens, the one selection.penalty_rate assumes.
+    by log-likelihood or under "mml" by message length, ties to the lower seed,
+    with _long_phase. Only the best start becomes a FitResult. Every fit uses the
+    floor 1/n for n tokens, the one selection.penalty_rate assumes.
     Each annihilation_events entry is (trace index of the first value computed
     after the removal, removed component indices at that moment).
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not _is_integer(k_max) or k_max < 1:
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     epsilon = default_floor(corpus.total_tokens)
 
-    def score(fit: FitResult) -> float:
+    def score(run: _Run) -> float:
         if config.annihilation == "mml":
-            return -message_length(fit.loglik_trace[-1], fit.model.pi, corpus.num_docs,
+            return -message_length(run.trace[-1], run.pi, corpus.num_docs,
                                    2 * config.weight_offset(corpus.num_words))
-        return fit.loglik_trace[-1]
+        return run.trace[-1]
 
-    starts = _short_phase(corpus, k_max, config, epsilon, threads)
-    best = max(range(config.n_starts), key=lambda i: (score(starts[i]), -i))
-    return _long_phase(corpus, starts[best], config)
+    runs = _short_phase(corpus, k_max, config, epsilon, threads)
+    best = max(range(config.n_starts), key=lambda i: (score(runs[i]), -i))
+    start = _fit_result(runs[best], epsilon, config.rng_seed + best, 0.0)
+    return _long_phase(corpus, start, config)
 
 
 def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
-                 threads: int) -> list[FitResult]:
+                 threads: int) -> list[_Run]:
     """Every start of a rung (seeds rng_seed + i) run _SHORT_ITERS
     iterations, in lockstep groups under the threshold rule and alone
-    under MML; one FitResult per start, in seed order. The groups are as
+    under MML; one _Run per start, in seed order. The groups are as
     few as _BLOCK_BYTES allows; threads only size the pool that runs them.
     A failing group fails at the earliest iteration any of its starts
     fails, and the rung raises its first failing group's error, whatever
     the thread count."""
     weight_offset = config.weight_offset(corpus.num_words)
 
-    def run_group(seeds: list[int]) -> list[FitResult]:
+    def run_group(seeds: list[int]) -> list[_Run]:
         # A fixed number of iterations: rel_tol 0 never stops a start early,
         # not even one that stalls at eta == 0.
         pi, log_f = _random_init_block(corpus, k, seeds, epsilon)
-        return _em_loop(corpus, pi, log_f, epsilon, seeds, _SHORT_ITERS, 0.0,
-                        weight_offset)
+        return _em_loop(corpus, pi, log_f, epsilon, _SHORT_ITERS, 0.0, weight_offset)
 
     num_starts = config.n_starts
     if weight_offset:
@@ -472,8 +496,8 @@ def _short_phase(corpus: Corpus, k: int, config: EmConfig, epsilon: float,
               for chunk in np.array_split(np.arange(num_starts), num_groups)]
     if threads > 1 and num_groups > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return [fit for fits in pool.map(run_group, groups) for fit in fits]
-    return [fit for seeds in groups for fit in run_group(seeds)]
+            return [run for runs in pool.map(run_group, groups) for run in runs]
+    return [run for seeds in groups for run in run_group(seeds)]
 
 
 # The threshold rule deletes each component of weight below 1/(this * K).
@@ -484,18 +508,19 @@ def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult
     """Continue ``start`` with full EM, deleting weak components between
     runs, as Figueiredo & Jain (2002, §V) do.
 
-    Each pass tests start.model, then the model the last run stopped at,
+    Each pass tests start.model, then the weights the last run stopped at,
     against 1/(_ANNIHILATION_DIVISOR * K), or 0 under MML. Once a test
-    removes nothing the last run is the fit. Otherwise the weak components
-    go, the survivors are renormalized, and _em_loop runs afresh from them,
-    so the cap of _MAX_ITERS M-steps counts from the last removal.
+    removes nothing the last run is the fit, built once, with seed
+    config.rng_seed. Otherwise the weak components go, the survivors are
+    renormalized, and _em_loop runs afresh from them, so the cap of
+    _MAX_ITERS M-steps counts from the last removal.
     The fit's trace and events are start's, then each run's.
     """
     divisor = _ANNIHILATION_DIVISOR if config.annihilation == "threshold" else math.inf
     trace, events = list(start.loglik_trace), list(start.annihilation_events)
     pi, log_f, epsilon = start.model.pi, start.model.log_f, start.model.epsilon
     skip = 1  # a run from start.model first rescores it, repeating trace[-1]
-    fit = None
+    run = None
     while True:
         weak = pi < 1.0 / (divisor * pi.size)
         if weak.any():
@@ -503,13 +528,14 @@ def _long_phase(corpus: Corpus, start: FitResult, config: EmConfig) -> FitResult
             pi, log_f, skip = pi[~weak], log_f[~weak], 0
             pi /= pi.sum()
             _validate_block(pi[None], log_f, epsilon)
-        elif fit is not None:
-            return replace(fit, loglik_trace=trace, annihilation_events=events)
-        [fit] = _em_loop(corpus, pi[None], log_f, epsilon, [config.rng_seed],
-                         _MAX_ITERS, _REL_TOL, config.weight_offset(corpus.num_words))
-        events += [(len(trace) + i - skip, gone) for i, gone in fit.annihilation_events]
-        trace += fit.loglik_trace[skip:]
-        pi, log_f = fit.model.pi, fit.model.log_f
+        elif run is not None:
+            return _fit_result(run._replace(trace=trace, events=events), epsilon,
+                               config.rng_seed, _REL_TOL)
+        [run] = _em_loop(corpus, pi[None], log_f, epsilon, _MAX_ITERS, _REL_TOL,
+                         config.weight_offset(corpus.num_words))
+        events += [(len(trace) + i - skip, gone) for i, gone in run.events]
+        trace += run.trace[skip:]
+        pi, log_f = run.pi, run.log_f
 
 
 def dumps_run_log(fit: FitResult, config: EmConfig) -> str:

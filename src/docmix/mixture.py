@@ -22,7 +22,8 @@ the best, so most exponentials of the log-sum-exp underflow to +0.0;
 _exp_in_place computes them off numpy's slow path, bit for bit.
 
 The sorted exponentials are summed in numpy's pairwise order, that of
-np.add.reduce over a contiguous last axis. At small K a per-row
+np.add.reduce over a contiguous last axis. A row of one or two terms is
+summed unsorted: its sum is the same in either order. At small K a per-row
 reduction costs far more per row than its arithmetic, so there the
 log-sum-exp takes the row maxima and this sum as column passes, one
 numpy call per component, and _sum_last_axis rebuilds the pairwise
@@ -90,17 +91,17 @@ def _validate_block(pi: np.ndarray, log_f: np.ndarray, epsilon: float) -> None:
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"floor must be in (0, 1), got {epsilon}")
-    if np.any(pi < 0):
+    if (pi < 0).any():
         raise ValueError("mixture weights must be nonnegative")
-    if not np.all(np.any(pi > 0, axis=1)):
+    if not (pi > 0).any(axis=1).all():
         raise ValueError("at least one mixture weight must be positive")
     sums = pi.sum(axis=1)
     off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
-    if np.any(off):
+    if off.any():
         raise ValueError(f"mixture weights sum to {sums[off][0]!r}, not 1")
-    if not np.all(np.isfinite(log_f)):
+    if not np.isfinite(log_f).all():
         raise ValueError("log densities must be finite")
-    if np.any(log_f > 0):
+    if (log_f > 0).any():
         raise ValueError(f"log density {log_f.max()!r} above 0: a density entry exceeds 1")
     f = np.exp(log_f)
     if f.min() < epsilon - FLOOR_SLACK:
@@ -245,7 +246,8 @@ def _log_sum_exp(scores: np.ndarray) -> np.ndarray:
     # C order: numpy sums a row pairwise only along a contiguous last axis
     shifted = np.subtract(scores, np.where(finite, top, np.nan)[..., None], order="C")
     _exp_in_place(shifted)
-    shifted.sort(axis=-1)
+    if k > 2:  # a sum of one or two terms is the same in any order: a + b == b + a
+        shifted.sort(axis=-1)
     return np.where(finite, top + np.log(_sum_last_axis(shifted)), -np.inf)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import Corpus, atomic_write_text, dumps_document
-from .em import EmConfig, FitResult, robust_em
+from .em import EmConfig, FitResult, _is_integer, robust_em
 from .errors import (
     DegenerateFitError,
     DegenerateRegressionError,
@@ -292,8 +292,8 @@ def run_sweep(corpus: Corpus, ladder, config: EmConfig, threads: int = 1,
     ladder = list(dict.fromkeys(ladder))  # a repeated rung would repeat its fit
     if not ladder:
         raise ValueError("ladder is empty")
-    if any(k < 1 for k in ladder):
-        raise ValueError("ladder entries must be >= 1")
+    if not all(_is_integer(k) and k >= 1 for k in ladder):
+        raise ValueError(f"ladder entries must be integers >= 1, got {ladder!r}")
     best: dict[int, SweepEntry] = {}
     failures: list[tuple[int, str]] = []
     for k_max in ladder:

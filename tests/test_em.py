@@ -328,24 +328,25 @@ class TestRunEm:
 
 
 def short_start(corpus, num_comps, seed, short_iters, weight_offset=0.0):
-    """One random start advanced exactly short_iters iterations, as robust_em runs it."""
+    """The raw run of one random start advanced exactly short_iters
+    iterations, as robust_em runs it."""
     init = random_init(corpus, num_comps, seed, default_floor(corpus.total_tokens))
-    [fit] = em._em_loop(corpus, init.pi[None], init.log_f, init.epsilon, [seed],
+    [run] = em._em_loop(corpus, init.pi[None], init.log_f, init.epsilon,
                         short_iters, 0.0, weight_offset)
-    return fit
+    return run
 
 
 class TestShortEm:
     def test_deterministic(self, tiny_corpus):
         a = short_start(tiny_corpus, 3, seed=5, short_iters=4)
         b = short_start(tiny_corpus, 3, seed=5, short_iters=4)
-        assert a.loglik_trace == b.loglik_trace
-        assert np.array_equal(a.model.log_f, b.model.log_f)
+        assert a.trace == b.trace
+        assert a.log_f.tobytes() == b.log_f.tobytes()
 
     def test_seed_changes_start(self, tiny_corpus):
         a = short_start(tiny_corpus, 3, seed=5, short_iters=4)
         b = short_start(tiny_corpus, 3, seed=6, short_iters=4)
-        assert not np.array_equal(a.model.log_f, b.model.log_f)
+        assert not np.array_equal(a.log_f, b.log_f)
 
     def test_stalled_start_runs_every_iteration(self, tiny_corpus, monkeypatch):
         # K=1 sits at its fixed point after one step (eta == 0), yet the
@@ -457,6 +458,43 @@ class TestRobustEm:
         # B=12 words identify at most 6 components
         with pytest.warns(mixture.IdentifiabilityWarning):
             return robust_em(planted.corpus, 10, config)
+
+    def test_identifiability_warned_for_the_winning_start(self, monkeypatch):
+        # the long phase prunes 10 components to 5 <= B/2 = 6, so only the
+        # winning start, built at k_max, is non-identifiable
+        monkeypatch.setattr(em, "_INIT_NOISE_SCALE", 4.0)
+        monkeypatch.setattr(em, "_ANNIHILATION_DIVISOR", 2.0)
+        mix = dm.planted_mixture(3, 12, seed=np.random.SeedSequence((45, 21)))
+        planted = dm.generate_corpus(mix, 27, (5, 60),
+                                     seed=np.random.SeedSequence((45, 22)))
+        with pytest.warns(mixture.IdentifiabilityWarning, match="2K-1=19") as record:
+            fit = robust_em(planted.corpus, 10, EmConfig(rng_seed=45, n_starts=5))
+        assert len(record) == 1
+        assert fit.k_final == 5
+        assert fit.annihilation_events == [(11, [0, 1, 3, 6, 9])]
+
+    @pytest.mark.parametrize("rule,k_max,divisor,pruned", [
+        ("threshold", 3, 100.0, False),
+        ("threshold", 6, 10.0, True),
+        ("mml", 3, 100.0, False),
+        ("mml", 6, 100.0, True),
+    ])
+    def test_two_models_per_rung(self, monkeypatch, rule, k_max, divisor, pruned):
+        # the winning start and the final fit; the 14 losing starts stay raw runs
+        monkeypatch.setattr(em, "_ANNIHILATION_DIVISOR", divisor)
+        built = []
+        post_init = mixture.MixtureModel.__post_init__
+
+        def counting_post_init(model):
+            built.append(model.num_components)
+            post_init(model)
+
+        monkeypatch.setattr(mixture.MixtureModel, "__post_init__", counting_post_init)
+        fit = robust_em(planted_corpus(0), k_max,
+                        EmConfig(rng_seed=0, n_starts=15, annihilation=rule))
+        assert bool(fit.annihilation_events) == pruned
+        assert len(built) == 2
+        assert built[-1] == fit.k_final
 
     def test_removal_after_a_converged_run(self, monkeypatch):
         # the long run converges with component 0 under the threshold: it
@@ -633,14 +671,14 @@ class TestMmlAnnihilation:
         starts = [short_start(corpus, 6, config.rng_seed + i, em._SHORT_ITERS,
                               weight_offset=config.weight_offset(corpus.num_words))
                   for i in range(config.n_starts)]
-        lengths = [em.message_length(s.loglik_trace[-1], s.model.pi,
+        lengths = [em.message_length(s.trace[-1], s.pi,
                                      corpus.num_docs, corpus.num_words - 1)
                    for s in starts]
-        by_loglik = max(starts, key=lambda s: s.loglik_trace[-1])
+        by_loglik = max(starts, key=lambda s: s.trace[-1])
         best = starts[int(np.argmin(lengths))]
         # here the highest log-likelihood start keeps a fourth component
         assert best is not by_loglik
-        assert fit.loglik_trace[:em._SHORT_ITERS + 1] == best.loglik_trace
+        assert fit.loglik_trace[:em._SHORT_ITERS + 1] == best.trace
 
     def test_threads_do_not_change_result(self):
         corpus = planted_corpus(7)
@@ -663,7 +701,7 @@ class TestMmlAnnihilation:
 
 
 def short_phase(corpus, k_max, config, threads=1):
-    """The per-start fits of robust_em's short phase, in seed order."""
+    """The raw runs of robust_em's short phase, one per start, in seed order."""
     return em._short_phase(corpus, k_max, config, default_floor(corpus.total_tokens),
                            threads)
 
@@ -692,27 +730,29 @@ class TestLockstep:
         if block_bytes is not None:
             monkeypatch.setattr(em, "_BLOCK_BYTES", block_bytes)
         seen = []
-        loop = em._em_loop
+        init_block = em._random_init_block
 
-        def recording_loop(corpus, pi, log_f, epsilon, seeds, *args):
+        def recording_init(corpus, num_comps, seeds, epsilon):
             seen.append(seeds)
-            return loop(corpus, pi, log_f, epsilon, seeds, *args)
+            return init_block(corpus, num_comps, seeds, epsilon)
 
-        monkeypatch.setattr(em, "_em_loop", recording_loop)
+        monkeypatch.setattr(em, "_random_init_block", recording_init)
         block = short_phase(corpus, k_max, config, threads)
         if rule == "mml":
             # every short-phase block holds exactly one seed
             assert sorted(seen) == [[seed] for seed in range(40, 47)]
-        assert [fit.seed for fit in block] == list(range(40, 47))
-        for i, fit in enumerate(block):
+        # each seed starts once; run i is seed 40 + i's, compared below
+        assert sorted(seed for seeds in seen for seed in seeds) == list(range(40, 47))
+        assert len(block) == 7
+        for i, run in enumerate(block):
             alone_config = replace(config, rng_seed=40 + i, n_starts=1)
             [alone] = short_phase(corpus, k_max, alone_config)
-            assert fit.loglik_trace == alone.loglik_trace
-            assert fit.annihilation_events == alone.annihilation_events
-            assert np.array_equal(fit.model.pi, alone.model.pi)
-            assert np.array_equal(fit.model.log_f, alone.model.log_f)
-            assert (fit.k_final, fit.converged, fit.eta_effective) == (
-                alone.k_final, alone.converged, alone.eta_effective)
+            assert run.trace == alone.trace
+            assert run.events == alone.events
+            assert run.pi.tobytes() == alone.pi.tobytes()
+            assert run.log_f.tobytes() == alone.log_f.tobytes()
+            assert (run.pi.shape, run.log_f.shape, run.eta) == (
+                alone.pi.shape, alone.log_f.shape, alone.eta)
 
     def test_run_em_is_the_loop_for_one_model(self, tiny_corpus, tiny_model):
         fit = run_em(tiny_corpus, tiny_model, EmConfig())
@@ -737,11 +777,12 @@ class TestLockstep:
         # the higher seed fails at the earlier iteration
         poison = {41: 5, 43: 2}
         local = threading.local()
-        loop, block_e_step = em._em_loop, em._e_step_block
+        init_block, block_e_step = em._random_init_block, em._e_step_block
 
-        def loop_with_seeds(corpus, pi, log_f, epsilon, seeds, *args):
+        def init_with_seeds(corpus, num_comps, seeds, epsilon):
+            # each group's loop runs right after its init, on the same thread
             local.seeds, local.iteration = seeds, 0
-            return loop(corpus, pi, log_f, epsilon, seeds, *args)
+            return init_block(corpus, num_comps, seeds, epsilon)
 
         def poisoned(*args):
             resp, logliks = block_e_step(*args)
@@ -751,7 +792,7 @@ class TestLockstep:
             local.iteration += 1
             return resp, logliks
 
-        monkeypatch.setattr(em, "_em_loop", loop_with_seeds)
+        monkeypatch.setattr(em, "_random_init_block", init_with_seeds)
         monkeypatch.setattr(em, "_e_step_block", poisoned)
         if block_bytes is not None:
             monkeypatch.setattr(em, "_BLOCK_BYTES", block_bytes)
@@ -771,35 +812,59 @@ class TestBlockStop:
         seeds = [40, 42]
         pi, log_f = em._random_init_block(corpus, 3, seeds, eps)
         alone = [em._em_loop(corpus, pi[s:s + 1], log_f[3 * s:3 * s + 3], eps,
-                             [seed], 500, 1e-6)[0]
-                 for s, seed in enumerate(seeds)]
+                             500, 1e-6)[0]
+                 for s in range(len(seeds))]
         # alone, the two starts stall at different iterations
-        assert len(alone[0].loglik_trace) < len(alone[1].loglik_trace)
-        block = em._em_loop(corpus, pi, log_f, eps, seeds, 500, 1e-6)
-        for fit, solo in zip(block, alone):
-            assert len(fit.loglik_trace) == len(alone[1].loglik_trace)
-            assert fit.loglik_trace[:len(solo.loglik_trace)] == solo.loglik_trace
-            assert fit.converged
-        assert np.array_equal(block[1].model.log_f, alone[1].model.log_f)
-        assert block[1].eta_effective == alone[1].eta_effective
+        assert len(alone[0].trace) < len(alone[1].trace)
+        block = em._em_loop(corpus, pi, log_f, eps, 500, 1e-6)
+        for run, solo in zip(block, alone):
+            assert len(run.trace) == len(alone[1].trace)
+            assert run.trace[:len(solo.trace)] == solo.trace
+            assert run.eta < 1e-6
+        assert block[1].log_f.tobytes() == alone[1].log_f.tobytes()
+        assert block[1].eta == alone[1].eta
 
     def test_weight_offset_takes_one_model(self):
         corpus = random_corpus(60, 24, 80, seed=5)
         eps = default_floor(corpus.total_tokens)
         pi, log_f = em._random_init_block(corpus, 3, [40, 42], eps)
         with pytest.raises(ValueError, match="one model"):
-            em._em_loop(corpus, pi, log_f, eps, [40, 42], 10, 0.0, 11.5)
+            em._em_loop(corpus, pi, log_f, eps, 10, 0.0, 11.5)
 
 
 class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_starts", 0),
+        ("n_starts", 2.5),
+        ("n_starts", True),
+        ("n_starts", "3"),
         ("rng_seed", -1),
+        ("rng_seed", 1.5),
+        ("rng_seed", False),
         ("annihilation", "bogus"),
     ])
     def test_rejects_bad_values(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             EmConfig(**{field: value})
+        assert info.value.field == field
+
+    def test_numpy_integers_become_ints(self, tiny_corpus):
+        config = EmConfig(n_starts=np.int64(3), rng_seed=np.uint32(7))
+        assert (config.n_starts, config.rng_seed) == (3, 7)
+        assert type(config.n_starts) is type(config.rng_seed) is int
+        # the run log is JSON, which takes no numpy integer
+        fit = robust_em(tiny_corpus, 1, config)
+        assert '"n_starts":3,' in dumps_run_log(fit, config)
+
+    @pytest.mark.parametrize("k_max", [2.5, "3", True, 0])
+    def test_robust_em_rejects_non_integer_k_max(self, tiny_corpus, k_max):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            robust_em(tiny_corpus, k_max, EmConfig())
+
+    @pytest.mark.parametrize("ladder", [[2.5], [1, "3"], [False], [0]])
+    def test_run_sweep_rejects_non_integer_rungs(self, tiny_corpus, ladder):
+        with pytest.raises(ValueError, match="ladder entries must be integers"):
+            dm.run_sweep(tiny_corpus, ladder, EmConfig())
 
 
 def test_annihilation_rules_script_table(capsys):
