@@ -17,7 +17,11 @@ that the E- and M-step kernels in src/docmix are built around:
   mixture._COLUMN_PASSES_BELOW sits where the column passes stop winning;
 - the speed-up of two threads running a kernel at once over one thread
   running it twice, which bounds what a thread pool over starts or
-  rungs can gain from each kernel.
+  rungs can gain from each kernel;
+- start-up: the median CPU and wall seconds of fresh
+  ``python -c "import docmix"`` interpreters, under the package's
+  OPENBLAS_NUM_THREADS=1 pin and with the variable preset to the core
+  count, so the CPU that OpenBLAS's idle threads spin away is re-measured.
 
 The corpus is nips-sweep's (L=5804, B=300, 20 planted topics,
 concentration 0.1, lengths 100-900); the responsibilities come from a
@@ -26,6 +30,11 @@ K=20 block of two starts after four EM iterations.
     PYTHONPATH=src python scripts/kernel_probe.py
 """
 
+import os
+import resource
+import statistics
+import subprocess
+import sys
 import threading
 import time
 
@@ -34,6 +43,8 @@ import numpy as np
 from docmix import em, generate_corpus, mixture, planted_mixture
 
 REPEATS = 20
+# Fresh interpreters per setting in the start-up section.
+STARTS = 12
 
 
 def best_ms(op, setup=lambda: None, repeats=REPEATS) -> float:
@@ -75,6 +86,32 @@ def two_thread_speedup(op, seconds=1.0, trials=3) -> float:
             thread.join()
         ratios.append(alone / (time.perf_counter() - start))
     return sorted(ratios)[trials // 2]
+
+
+def start_up_table(starts=STARTS):
+    """Median CPU and wall of ``starts`` fresh interpreters that import
+    docmix, per OpenBLAS setting, the settings interleaved."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(em.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    settings = {"pinned to 1 (default)": env,
+                f"preset to {os.cpu_count()}": {**env, "OPENBLAS_NUM_THREADS": str(os.cpu_count())}}
+    samples = {label: ([], []) for label in settings}
+    for _ in range(starts):
+        for label, child_env in settings.items():
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", "import docmix"], env=child_env, check=True)
+            wall = time.perf_counter() - start
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            samples[label][0].append(after.ru_utime + after.ru_stime
+                                     - before.ru_utime - before.ru_stime)
+            samples[label][1].append(wall)
+    print(f'start-up of python -c "import docmix", s (median of {starts}, '
+          f"{os.cpu_count()} cores):")
+    print(f"  {'OPENBLAS_NUM_THREADS':22s} {'cpu':>6s} {'wall':>6s}")
+    for label, (cpus, walls) in samples.items():
+        print(f"  {label:22s} {statistics.median(cpus):6.3f} {statistics.median(walls):6.3f}")
 
 
 def column_max(a):
@@ -131,6 +168,7 @@ def exp_slice_table(counts, pi, log_f, k):
 
 
 def main():
+    start_up_table()
     mix = planted_mixture(20, 300, seed=np.random.SeedSequence((0, 1)), concentration=0.1)
     corpus = generate_corpus(mix, 5804, (100, 900), seed=np.random.SeedSequence((0, 2))).corpus
     counts = corpus.csr()
@@ -141,7 +179,7 @@ def main():
         resp, _ = em._e_step_block(counts, pi, log_f, 20)
         pi, log_f = em._m_step_block(counts.T, resp, 20, epsilon, 0.0)
     resp, _ = em._e_step_block(counts, pi, log_f, 20)
-    print(f"corpus: L={corpus.num_docs}, B={corpus.num_words}, nnz={counts.nnz}; "
+    print(f"\ncorpus: L={corpus.num_docs}, B={corpus.num_words}, nnz={counts.nnz}; "
           f"block of 2 starts at K=20, resp {resp.shape}")
 
     size = resp.size

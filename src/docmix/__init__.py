@@ -1,6 +1,17 @@
 """Mixture clustering of variable-length count vectors with penalized
 selection of the number of components."""
 
+import os
+
+# Before the first numpy import: numpy's OpenBLAS otherwise starts one
+# thread per spare core, each of which busy-waits ~0.1 s of CPU after
+# start-up. docmix never needs them: its products are scipy's sparse
+# kernels, and its one BLAS call is selection._ols_slope's np.dot of two
+# ladder-length vectors. One thread also keeps every reduction
+# independent of the core count. A caller's own setting wins, and an
+# interpreter that imported numpy before docmix keeps its pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .corpus import (
     Corpus,
     Vocabulary,

@@ -77,8 +77,9 @@ def loads_document(text: str, kind: str, build: Callable[[dict], _T]) -> _T:
         raise FormatError(f"{kind} payload is not valid JSON (truncated?): {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != f"docmix.{kind}":
         raise FormatError(f"payload is not a docmix {kind} container")
-    if payload.get("version") != DOCUMENT_VERSION:
-        raise FormatError(f"unsupported {kind} version {payload.get('version')!r}, "
+    version = payload.get("version")
+    if type(version) is not int or version != DOCUMENT_VERSION:  # not true, not 1.0
+        raise FormatError(f"unsupported {kind} version {version!r}, "
                           f"expected {DOCUMENT_VERSION}")
     try:
         return build(payload)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -113,6 +114,17 @@ def _validate_block(pi: np.ndarray, log_f: np.ndarray, epsilon: float) -> None:
         raise ValueError(f"density rows sum to 1 within {row_err!r} only")
 
 
+def _outside_docmix() -> int:
+    """The stacklevel at which the caller's warnings.warn names the first
+    frame outside docmix, the user's line. Frames are told apart by module
+    name: a dataclass's generated __init__ has file "<string>"."""
+    frame, level = sys._getframe(1), 1
+    while (frame.f_back is not None
+           and frame.f_globals.get("__name__", "").partition(".")[0] == "docmix"):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(frozen=True)
 class MixtureModel:
     pi: np.ndarray
@@ -136,7 +148,7 @@ class MixtureModel:
                 f"B={self.num_words} < 2K-1={2 * self.num_components - 1}: "
                 "mixture parameters may not be identifiable",
                 IdentifiabilityWarning,
-                stacklevel=3,
+                stacklevel=_outside_docmix(),
             )
 
     @property
@@ -313,12 +325,15 @@ def dumps_model(model: MixtureModel) -> str:
 
 
 def _model_from_payload(payload: dict) -> MixtureModel:
+    declared = payload["K"], payload["B"]
+    if not all(type(n) is int for n in declared):  # not true, not 2.0
+        raise FormatError(f"declared K/B {declared!r} must be integers")
     model = MixtureModel(
         pi=np.asarray(payload["pi"], dtype=np.float64),
         log_f=np.asarray(payload["log_f"], dtype=np.float64),
         epsilon=float(payload["epsilon_n"]),
     )
-    if model.num_components != payload["K"] or model.num_words != payload["B"]:
+    if (model.num_components, model.num_words) != declared:
         raise FormatError("declared K/B do not match the stored arrays")
     return model
 

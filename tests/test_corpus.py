@@ -375,6 +375,9 @@ class TestPersistence:
                      id="length-wraps-int64"),
         pytest.param(lambda blob: blob["docs"].__setitem__(0, [[0], [2**60]]),
                      id="length-past-2-53"),
+        # True == 1 == 1.0: only the integer 1 is version 1
+        pytest.param(lambda blob: blob.__setitem__("version", True), id="bool-version"),
+        pytest.param(lambda blob: blob.__setitem__("version", 1.0), id="float-version"),
     ])
     def test_corrupt_container_rejected(self, tiny_corpus, corrupt):
         blob = json.loads(dumps_corpus(tiny_corpus))

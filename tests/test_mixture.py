@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from docmix.corpus import Corpus, Vocabulary
 import docmix.em as em
-from docmix.em import EmConfig, random_init, run_em
+from docmix.em import EmConfig, random_init, robust_em, run_em
 from docmix.errors import FormatError
 import docmix.mixture as mixture
 from docmix.mixture import (
@@ -28,6 +28,7 @@ from docmix.mixture import (
     weighted_kl_risk,
 )
 
+from docmix.selection import run_sweep
 from docmix.synth import generate_corpus, planted_mixture
 
 from conftest import random_corpus, random_model
@@ -242,6 +243,17 @@ class TestModelValidation:
         [warning] = record
         assert warning.filename == __file__
 
+    @pytest.mark.parametrize("fit", [
+        pytest.param(lambda corpus: robust_em(corpus, 5, EmConfig(n_starts=3)), id="robust_em"),
+        pytest.param(lambda corpus: run_sweep(corpus, [5, 6], EmConfig(n_starts=3)),
+                     id="run_sweep"),
+    ])
+    def test_identifiability_warning_names_the_callers_line(self, fit):
+        corpus = random_corpus(30, 6, 40, seed=0)  # B=6 < 2K-1 for K=5 and 6
+        with pytest.warns(IdentifiabilityWarning) as record:
+            fit(corpus)
+        assert [warning.filename for warning in record] == [__file__] * len(record)
+
     def test_arrays_read_only(self):
         model = two_component_model()
         with pytest.raises(ValueError):
@@ -293,6 +305,17 @@ class TestPersistence:
     def test_shape_mismatch(self):
         blob = json.loads(dumps_model(two_component_model()))
         blob["K"] = 3
+        with pytest.raises(FormatError):
+            loads_model(json.dumps(blob))
+
+    @pytest.mark.parametrize("k,key,value", [
+        # True == 1 and 2.0 == 2: only a JSON integer declares a count
+        (2, "K", 2.0), (2, "B", 3.0), (1, "K", True), (2, "version", True),
+        (2, "version", 1.0),
+    ])
+    def test_non_integer_count_rejected(self, k, key, value):
+        blob = json.loads(dumps_model(random_model(k, 3, 500, seed=0)))
+        blob[key] = value
         with pytest.raises(FormatError):
             loads_model(json.dumps(blob))
 
